@@ -12,7 +12,7 @@ from .errors import (DegenerateModeError, EigensolveError,
                      MslError, PartitionError, ResonanceError,
                      SingularMatrixError, StructuralError, StructureFileError,
                      VariantError)
-from .media import (FieldState, Layer, LayeredStructure, MslCoefficients,
+from .media import (Layer, LayeredStructure, MslCoefficients,
                     ShPiezoParams, ValidationReport, make_quantum_medium,
                     make_scalar_medium, make_sh_piezo_medium,
                     sh_piezo_expected_wavenumbers, validate_coefficients)

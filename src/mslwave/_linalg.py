@@ -54,15 +54,27 @@ def scaled_cond(a: np.ndarray) -> float:
     each row and then each column by its largest magnitude leaves the
     genuine degeneracy measure (collinearity) behind.
     """
-    a = np.asarray(a)
-    row_max = np.max(np.abs(a), axis=1, keepdims=True)
-    if np.any(row_max == 0.0):
-        return float("inf")
+    return float(scaled_cond_stack(np.asarray(a)[None])[0])
+
+
+def scaled_cond_stack(a: np.ndarray) -> np.ndarray:
+    """:func:`scaled_cond` of each matrix of a (G, n, n) stack; a zero
+    row or column gives inf."""
+    row_max = np.max(np.abs(a), axis=-1, keepdims=True)
+    ok = (row_max != 0.0).all(axis=(-2, -1))
+    row_max[row_max == 0.0] = 1.0
     b = a / row_max
-    col_max = np.max(np.abs(b), axis=0, keepdims=True)
-    if np.any(col_max == 0.0):
-        return float("inf")
-    return cond_estimate(b / col_max)
+    col_max = np.max(np.abs(b), axis=-2, keepdims=True)
+    ok &= (col_max != 0.0).all(axis=(-2, -1))
+    col_max[col_max == 0.0] = 1.0
+    b /= col_max
+    if not ok.all():
+        b[~ok] = np.eye(a.shape[-1])
+    s = np.linalg.svd(b, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    cond[~ok] = np.inf
+    return cond
 
 
 def smallest_singular_value(a: np.ndarray) -> float:
@@ -124,3 +136,46 @@ def right_solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
         return right_solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"{what} is singular") from exc
+
+
+def stacked_call(fn, fails, make_error, a: np.ndarray, *rest: np.ndarray):
+    """``fn(a, *rest)`` for a batched ``numpy.linalg`` call over (G, ...)
+    stacks.
+
+    LAPACK failures (a singular matrix, an eigensolve that does not
+    converge) raise for the whole stack, so on ``LinAlgError`` the call
+    is repeated point by point: the points that raise are recorded in
+    ``fails`` as ``make_error(i, exc)`` and evaluated on the identity
+    instead, and the stack is called once more.
+    """
+    try:
+        return fn(a, *rest)
+    except np.linalg.LinAlgError:
+        pass
+    errors = {}
+    for i in range(len(a)):
+        try:
+            fn(a[i:i + 1], *(r[i:i + 1] for r in rest))
+        except np.linalg.LinAlgError as exc:
+            errors[i] = exc
+    bad = np.zeros(len(a), dtype=bool)
+    bad[list(errors)] = True
+    fails.add(bad, lambda i: make_error(i, errors[i]))
+    a = a.copy()
+    a[bad] = np.eye(a.shape[-1])
+    return fn(a, *rest)
+
+
+def solve_stack(a: np.ndarray, b: np.ndarray, fails, what: str) -> np.ndarray:
+    """Batched ``solve``; a singular point fails with the error of
+    :func:`solve_checked`."""
+    return stacked_call(np.linalg.solve, fails,
+                        lambda i, exc: SingularMatrixError(f"{what} is singular"),
+                        a, b)
+
+
+def right_solve_stack(a: np.ndarray, b: np.ndarray, fails,
+                      what: str) -> np.ndarray:
+    """Batched ``b @ inv(a)``, failing points as :func:`right_solve_checked`."""
+    return np.swapaxes(solve_stack(np.swapaxes(a, -1, -2),
+                                   np.swapaxes(b, -1, -2), fails, what), -1, -2)

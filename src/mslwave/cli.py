@@ -138,8 +138,7 @@ def _cmd_bands(args) -> int:
     q_grid = _parse_grid(args.grid)
     e_range = _parse_range(args.range)
     variant = Variant(args.variant.upper())
-    bands = band_structure(defn, q_grid, e_range, variant,
-                           tol=args.tol, threads=args.threads)
+    bands = band_structure(defn, q_grid, e_range, variant, tol=args.tol)
     rows = []
     for band in bands:
         for (q, e_val, res) in band.points:
@@ -176,11 +175,10 @@ def _cmd_escape(args) -> int:
         if args.omega is None:
             raise _UsageError("piezo escape scans need --omega <rad/s>")
         scan = sh_wave_speeds(defn, omega=args.omega, v_grid=grid,
-                              tol=args.tol, threads=args.threads)
+                              tol=args.tol)
         param = "v_s"
     else:
-        scan = escape_energy_scan(defn, grid, variant, tol=args.tol,
-                                  threads=args.threads)
+        scan = escape_energy_scan(defn, grid, variant, tol=args.tol)
         param = "energy"
     rows = [(r.value, r.value, r.residual, args.variant) for r in scan.roots]
     _emit((param, "root", "residual", "variant"), rows, args)
@@ -216,7 +214,6 @@ def build_parser() -> _Parser:
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--allow-lossy", action="store_true")
         p.add_argument("--no-meta", action="store_true")
         p.add_argument("--omega", type=float, default=None,

@@ -5,6 +5,11 @@ recursions below, whose only inverses act on inner factors that stay
 regular for arbitrarily thick stacks (H, S) or arbitrarily thick but not
 arbitrarily thin ones (E). Each fold records a per-step conditioning
 trace so the regularity claim is checkable rather than assumed.
+
+The H and E rules and folds also run stacked over G parameter points
+(:func:`compose_h_stack`, :func:`compose_e_stack`, :func:`fold_stack`),
+recording failures per point; the single-matrix functions are their
+G = 1 case.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import smallest_singular_value
-from .errors import (IllConditionedError, MatrixOverflowError,
+from ._linalg import smallest_singular_value, stacked_call
+from .errors import (IllConditionedError, MatrixOverflowError, PointFailures,
                      ResonanceError, StructuralError, VariantError)
 from .media import LayeredStructure, MslCoefficients
 from .propagators import (BlockMatrix, Variant, antidiagonal_identity,
-                          e_single_stable, from_blocks, h_single_stable,
-                          k_matrix, q_matrix, s_from_k, t_single)
+                          from_blocks, k_matrix, q_matrix, s_from_k,
+                          single_stack, t_single)
 from .qep import ModeBasis, solve_qep
 
 
@@ -80,6 +85,104 @@ def _inner_solve(factor: np.ndarray, rhs: np.ndarray, rule: str) -> np.ndarray:
             sigma_min=smallest_singular_value(factor)) from exc
 
 
+def _inner_solve_stack(factor: np.ndarray, rhs: np.ndarray, rule: str,
+                      fails: PointFailures) -> np.ndarray:
+    def resonance(i: int, exc) -> ResonanceError:
+        sigma_min = smallest_singular_value(factor[i])
+        return ResonanceError(
+            f"singular inner factor in the {rule} composition rule "
+            f"(sigma_min = {sigma_min:.3e})", sigma_min=sigma_min)
+    return stacked_call(np.linalg.solve, fails, resonance, factor, rhs)
+
+
+def _assemble(variant: Variant, b11, b12, b21, b22,
+              fails: PointFailures) -> np.ndarray:
+    n = b11.shape[-1]
+    data = np.empty(b11.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    data[:, :n, :n], data[:, :n, n:] = b11, b12
+    data[:, n:, :n], data[:, n:, n:] = b21, b22
+    fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
+              MatrixOverflowError(f"{variant} matrix contains non-finite entries"))
+    fails.patch(data)
+    return data
+
+
+def compose_h_stack(h_m: np.ndarray, h_rest: np.ndarray, fails: PointFailures,
+                    trace: bool = False):
+    """Stacked :func:`compose_h` over (G, 2N, 2N) arrays.
+
+    Returns the joined data and, with ``trace``, the singular values of
+    each point's inner factor G (for :class:`CompositionStep`). A point
+    with a singular inner factor fails with :class:`ResonanceError`.
+    """
+    n = h_m.shape[-1] // 2
+    m11, m12, m21, m22 = (h_m[:, :n, :n], h_m[:, :n, n:],
+                          h_m[:, n:, :n], h_m[:, n:, n:])
+    r11, r12, r21, r22 = (h_rest[:, :n, :n], h_rest[:, :n, n:],
+                          h_rest[:, n:, :n], h_rest[:, n:, n:])
+    eye = np.eye(n, dtype=complex)
+    g = eye - m22 @ r11
+    sv = np.linalg.svd(g, compute_uv=False) if trace else None
+    ginv = _inner_solve_stack(g, h_m[:, n:, :], "H", fails)
+    ginv_h21, ginv_h22 = ginv[..., :n], ginv[..., n:]
+    data = _assemble(Variant.H,
+                     m11 + m12 @ r11 @ ginv_h21,
+                     m12 @ (eye + r11 @ ginv_h22) @ r12,
+                     r21 @ ginv_h21,
+                     r22 + r21 @ ginv_h22 @ r12, fails)
+    return data, sv
+
+
+def compose_e_stack(e_m: np.ndarray, e_rest: np.ndarray, fails: PointFailures,
+                    trace: bool = False):
+    """Stacked :func:`compose_e` over (G, 2N, 2N) arrays; see
+    :func:`compose_h_stack`. The inner factor is D = E^rest_11 - E^m_22."""
+    n = e_m.shape[-1] // 2
+    m11, m12, m21, m22 = (e_m[:, :n, :n], e_m[:, :n, n:],
+                          e_m[:, n:, :n], e_m[:, n:, n:])
+    r11, r12, r21, r22 = (e_rest[:, :n, :n], e_rest[:, :n, n:],
+                          e_rest[:, n:, :n], e_rest[:, n:, n:])
+    d_factor = r11 - m22
+    sv = np.linalg.svd(d_factor, compute_uv=False) if trace else None
+    dinv = _inner_solve_stack(d_factor, np.concatenate([m21, r12], axis=-1),
+                              "E", fails)
+    dinv_e21, dinv_e12rest = dinv[..., :n], dinv[..., n:]
+    data = _assemble(Variant.E,
+                     m11 + m12 @ dinv_e21,
+                     -m12 @ dinv_e12rest,
+                     r21 @ dinv_e21,
+                     r22 - r21 @ dinv_e12rest, fails)
+    return data, sv
+
+
+def _step_of(index: int, singular_values: np.ndarray) -> CompositionStep:
+    return CompositionStep(index=index,
+                           factor_norm=float(singular_values[0]),
+                           factor_sigma_min=float(singular_values[-1]))
+
+
+def _compose_traced(variant: Variant, m: BlockMatrix, rest: BlockMatrix,
+                    index: int) -> tuple[BlockMatrix, CompositionStep]:
+    if m.variant is not variant or rest.variant is not variant:
+        raise VariantError(f"compose_{variant.value.lower()} needs two "
+                           f"{variant} matrices")
+    fails = PointFailures(1)
+    compose = compose_h_stack if variant is Variant.H else compose_e_stack
+    data, sv = compose(m.data[None], rest.data[None], fails, trace=True)
+    fails.raise_first()
+    return BlockMatrix(variant=variant, data=data[0]), _step_of(index, sv[0])
+
+
+def _compose_h_traced(h_m: BlockMatrix, h_rest: BlockMatrix,
+                      index: int) -> tuple[BlockMatrix, CompositionStep]:
+    return _compose_traced(Variant.H, h_m, h_rest, index)
+
+
+def _compose_e_traced(e_m: BlockMatrix, e_rest: BlockMatrix,
+                      index: int) -> tuple[BlockMatrix, CompositionStep]:
+    return _compose_traced(Variant.E, e_m, e_rest, index)
+
+
 def compose_h(h_m: BlockMatrix, h_rest: BlockMatrix) -> BlockMatrix:
     """Hybrid matrix of layer m joined with the stack to its right.
 
@@ -87,25 +190,7 @@ def compose_h(h_m: BlockMatrix, h_rest: BlockMatrix) -> BlockMatrix:
     from zero to infinity; a singular G marks a physical resonance and
     raises so root finders can bracket it.
     """
-    m, trace = _compose_h_traced(h_m, h_rest, 0)
-    return m
-
-
-def _compose_h_traced(h_m: BlockMatrix, h_rest: BlockMatrix,
-                      index: int) -> tuple[BlockMatrix, CompositionStep]:
-    if h_m.variant is not Variant.H or h_rest.variant is not Variant.H:
-        raise VariantError("compose_h needs two H matrices")
-    n = h_m.n
-    eye = np.eye(n, dtype=complex)
-    g = eye - h_m.b22 @ h_rest.b11
-    step = _step(index, g)
-    ginv_h21 = _inner_solve(g, h_m.b21, "H")
-    ginv_h22 = _inner_solve(g, h_m.b22, "H")
-    h11 = h_m.b11 + h_m.b12 @ h_rest.b11 @ ginv_h21
-    h12 = h_m.b12 @ (eye + h_rest.b11 @ ginv_h22) @ h_rest.b12
-    h21 = h_rest.b21 @ ginv_h21
-    h22 = h_rest.b22 + h_rest.b21 @ ginv_h22 @ h_rest.b12
-    return from_blocks(Variant.H, h11, h12, h21, h22), step
+    return _compose_h_traced(h_m, h_rest, 0)[0]
 
 
 def compose_e(e_m: BlockMatrix, e_rest: BlockMatrix) -> BlockMatrix:
@@ -115,23 +200,31 @@ def compose_e(e_m: BlockMatrix, e_rest: BlockMatrix) -> BlockMatrix:
     its norm grows like 1/d for thin layers; the trace records that
     growth (the roundoff-accumulation regime).
     """
-    m, step = _compose_e_traced(e_m, e_rest, 0)
-    return m
+    return _compose_e_traced(e_m, e_rest, 0)[0]
 
 
-def _compose_e_traced(e_m: BlockMatrix, e_rest: BlockMatrix,
-                      index: int) -> tuple[BlockMatrix, CompositionStep]:
-    if e_m.variant is not Variant.E or e_rest.variant is not Variant.E:
-        raise VariantError("compose_e needs two E matrices")
-    d_factor = e_rest.b11 - e_m.b22
-    step = _step(index, d_factor)
-    dinv_e21 = _inner_solve(d_factor, e_m.b21, "E")
-    dinv_e12rest = _inner_solve(d_factor, e_rest.b12, "E")
-    e11 = e_m.b11 + e_m.b12 @ dinv_e21
-    e12 = -e_m.b12 @ dinv_e12rest
-    e21 = e_rest.b21 @ dinv_e21
-    e22 = e_rest.b22 - e_rest.b21 @ dinv_e12rest
-    return from_blocks(Variant.E, e11, e12, e21, e22), step
+def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
+               trace: bool = False):
+    """Fold single-layer H or E matrices of G points, right to left.
+
+    ``layers`` lists (key, thickness) with every thickness > 0 and at
+    least one layer; ``modes_of(key)`` gives that medium's
+    :class:`ModeStack`. Returns the (G, 2N, 2N) data, the conditioning
+    of the single layer when there is only one (else None), and, with
+    ``trace``, the singular values of every step's inner factor. The
+    fold stops early once every point has failed.
+    """
+    compose = compose_h_stack if variant is Variant.H else compose_e_stack
+    key, d = layers[-1]
+    acc, cond = single_stack(variant, modes_of(key), d, fails)
+    steps = []
+    for key, d in layers[-2::-1]:
+        if fails.all_failed:
+            break
+        m_single, _ = single_stack(variant, modes_of(key), d, fails)
+        acc, sv = compose(m_single, acc, fails, trace)
+        steps.append(sv)
+    return acc, (cond if len(layers) == 1 else None), steps
 
 
 def star_product(y: BlockMatrix, x: BlockMatrix) -> BlockMatrix:
@@ -262,14 +355,12 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
                               det_drift=drift)
         return acc, CompositionTrace(steps=tuple(steps))
 
-    single = h_single_stable if variant is Variant.H else e_single_stable
-    compose_traced = (_compose_h_traced if variant is Variant.H
-                      else _compose_e_traced)
-    acc = single(layers[-1].medium, layers[-1].thickness,
-                 basis_of(layers[-1].medium))
-    for idx in range(len(layers) - 2, -1, -1):
-        ly = layers[idx]
-        m_single = single(ly.medium, ly.thickness, basis_of(ly.medium))
-        acc, step = compose_traced(m_single, acc, len(steps))
-        steps.append(step)
-    return acc, CompositionTrace(steps=tuple(steps))
+    fails = PointFailures(1)
+    data, cond, svs = fold_stack([(ly.medium, ly.thickness) for ly in layers],
+                                 variant,
+                                 lambda m: basis_of(m).stack, fails, trace=True)
+    fails.raise_first()
+    steps = [_step_of(i, sv[0]) for i, sv in enumerate(svs)]
+    return (BlockMatrix(variant=variant, data=data[0],
+                        conditioning=None if cond is None else float(cond[0])),
+            CompositionTrace(steps=tuple(steps)))

@@ -7,6 +7,8 @@ usage errors keep propagating as standard Python exceptions.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class MslError(Exception):
     """Base class for all library-specific errors."""
@@ -80,3 +82,46 @@ class StructureFileError(MslError):
         super().__init__(message if location is None
                          else f"{message} (at {location})")
         self.location = location
+
+
+class PointFailures:
+    """Per-point status of a stacked evaluation over G parameter points.
+
+    Stacked kernels record the first library error of each point here
+    instead of raising, so one failing point masks only itself.
+    ``failed`` is the status array; ``errors`` maps a failed point's
+    index to its error, exactly as the single-point call would raise it.
+    """
+
+    def __init__(self, g: int):
+        self.failed = np.zeros(g, dtype=bool)
+        self.errors: dict[int, MslError] = {}
+
+    @property
+    def all_failed(self) -> bool:
+        return bool(self.failed.all())
+
+    def add(self, mask, make_error) -> None:
+        """Record ``make_error(i)`` for every point of the boolean array
+        ``mask`` that has not failed yet; earlier failures take
+        precedence."""
+        if not mask.any():
+            return
+        for i in np.flatnonzero(mask & ~self.failed):
+            self.errors[int(i)] = make_error(int(i))
+            self.failed[i] = True
+
+    def raise_first(self) -> None:
+        """Raise the error of the lowest failed point (G = 1 wrappers)."""
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+    def patch(self, *arrays: np.ndarray) -> None:
+        """Overwrite the failed points of each (G, ...) array in place
+        with the first live point, so later batched calls stay well posed
+        (their results at failed points are never read)."""
+        if not self.failed.any() or self.failed.all():
+            return
+        live = int(np.argmin(self.failed))
+        for a in arrays:
+            a[self.failed] = a[live]

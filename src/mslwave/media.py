@@ -64,7 +64,8 @@ class MslCoefficients:
         return self.b.shape[0]
 
     def is_formally_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        return validate_coefficients(self, hermitian_expected=True).passed
+        return validate_coefficients(self, hermitian_expected=True,
+                                     rtol=rtol).passed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MslCoefficients):
@@ -196,22 +197,60 @@ class LayeredStructure:
 
 
 @dataclass(frozen=True)
-class FieldState:
-    """Field vector F and linear form A at one coordinate."""
+class MediumStack:
+    """One medium's coefficient matrices at G parameter points.
 
-    f: np.ndarray
-    a: np.ndarray
-    z: float
+    ``b``, ``p``, ``y`` and ``w`` are (G, N, N) complex arrays; point g
+    is the medium ``MslCoefficients(b[g], p[g], y[g], w[g])``.
+    """
 
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=complex)
-        a = np.asarray(self.a, dtype=complex)
-        if f.shape != a.shape or f.ndim != 1:
-            raise StructuralError("f and a must be 1-D vectors of equal length")
-        f.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "a", a)
+    b: np.ndarray
+    p: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, m: MslCoefficients) -> "MediumStack":
+        return cls(m.b[None], m.p[None], m.y[None], m.w[None])
+
+    @property
+    def g(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.w.shape[-1]
+
+
+@dataclass(frozen=True)
+class StackedStructure:
+    """A layered structure bound at G parameter points.
+
+    ``media`` maps a key (a material name, or the medium itself for a
+    single bound structure) to its :class:`MediumStack`; ``left``,
+    ``right`` and the layers refer to media by key.
+    """
+
+    media: dict
+    left: object
+    right: object
+    layers: tuple[tuple[object, float], ...]
+
+    @classmethod
+    def of(cls, s: LayeredStructure) -> "StackedStructure":
+        """The G = 1 stack of a bound structure, keyed by medium."""
+        media = {m: MediumStack.of(m)
+                 for m in [s.left, s.right] + [ly.medium for ly in s.layers]}
+        return cls(media=media, left=s.left, right=s.right,
+                   layers=tuple((ly.medium, ly.thickness) for ly in s.layers))
+
+    @property
+    def g(self) -> int:
+        return self.media[self.left].g
+
+    @property
+    def n(self) -> int:
+        return self.media[self.left].n
 
 
 @dataclass(frozen=True)
@@ -256,10 +295,9 @@ def make_scalar_medium(b: complex, p: complex = 0.0, y: complex = 0.0,
     return MslCoefficients(b=[[b]], p=[[p]], y=[[y]], w=[[w]], label=label)
 
 
-def make_quantum_medium(mass: float, potential: float, energy: float,
-                        hbar2_over_2: float = 1.0,
-                        label: str = "") -> MslCoefficients:
-    """Effective-mass Schroedinger medium at a given energy.
+def quantum_coefficients(mass: float, potential: float, energy,
+                         hbar2_over_2: float = 1.0) -> MediumStack:
+    """Effective-mass Schroedinger media at an array of G energies.
 
     b = hbar^2/(2 m), p = y = 0, w = E - V, so the wavenumbers are
     +-sqrt(2 m (E - V))/hbar (imaginary below the potential).
@@ -268,28 +306,56 @@ def make_quantum_medium(mass: float, potential: float, energy: float,
         raise StructuralError("mass must be positive")
     if hbar2_over_2 <= 0:
         raise StructuralError("hbar2_over_2 must be positive")
-    return MslCoefficients(b=[[hbar2_over_2 / mass]], p=[[0.0]], y=[[0.0]],
-                           w=[[energy - potential]], label=label)
+    energy = np.asarray(energy, dtype=float).reshape(-1, 1, 1)
+    zero = np.zeros(energy.shape, dtype=complex)
+    return MediumStack(b=np.full(energy.shape, hbar2_over_2 / mass,
+                                 dtype=complex),
+                       p=zero, y=zero, w=(energy - potential).astype(complex))
 
 
-def make_sh_piezo_medium(params: ShPiezoParams, label: str = "") -> MslCoefficients:
-    """Coefficient matrices of a shear-horizontal piezoelectric layer.
+def make_quantum_medium(mass: float, potential: float, energy: float,
+                        hbar2_over_2: float = 1.0,
+                        label: str = "") -> MslCoefficients:
+    """Effective-mass Schroedinger medium at one energy (see
+    :func:`quantum_coefficients`)."""
+    st = quantum_coefficients(mass, potential, energy, hbar2_over_2)
+    return MslCoefficients(b=st.b[0], p=st.p[0], y=st.y[0], w=st.w[0],
+                           label=label)
+
+
+def sh_piezo_coefficients(rho: float, c44: float, e15: float, eps11: float,
+                          omega, kappa_x) -> MediumStack:
+    """Shear-horizontal piezoelectric media at G (omega, kappa_x) pairs.
 
     With F = (u, phi) the coupled equations reduce to
 
         b = [[c44, e15], [e15, -eps11]],  p = y = 0,
         w = [[rho w^2 - c44 kx^2, -e15 kx^2], [-e15 kx^2, eps11 kx^2]].
+    """
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    kx2 = np.atleast_1d(np.asarray(kappa_x, dtype=float)) ** 2
+    w = np.empty((max(len(omega), len(kx2)), 2, 2), dtype=complex)
+    w[:, 0, 0] = rho * omega ** 2 - c44 * kx2
+    w[:, 0, 1] = w[:, 1, 0] = -e15 * kx2
+    w[:, 1, 1] = eps11 * kx2
+    b = np.repeat(np.array([[[c44, e15], [e15, -eps11]]], dtype=complex),
+                  len(w), axis=0)
+    zero = np.zeros(w.shape, dtype=complex)
+    return MediumStack(b=b, p=zero, y=zero, w=w)
 
-    The wavenumber spectrum is {-i kx, +i kx, k3, -k3} with
+
+def make_sh_piezo_medium(params: ShPiezoParams, label: str = "") -> MslCoefficients:
+    """Coefficient matrices of a shear-horizontal piezoelectric layer.
+
+    See :func:`sh_piezo_coefficients`. The wavenumber spectrum is
+    {-i kx, +i kx, k3, -k3} with
     k3^2 = -kx^2 + w^2 rho / (c44 + e15^2/eps11), and the mode shapes are
     (0, 1) for the electrostatic pair and (1, e15/eps11) for the other.
     """
-    kx2 = params.kappa_x ** 2
-    b = [[params.c44, params.e15], [params.e15, -params.eps11]]
-    w = [[params.rho * params.omega ** 2 - params.c44 * kx2, -params.e15 * kx2],
-         [-params.e15 * kx2, params.eps11 * kx2]]
-    zero = [[0.0, 0.0], [0.0, 0.0]]
-    return MslCoefficients(b=b, p=zero, y=zero, w=w, label=label)
+    st = sh_piezo_coefficients(params.rho, params.c44, params.e15,
+                               params.eps11, params.omega, params.kappa_x)
+    return MslCoefficients(b=st.b[0], p=st.p[0], y=st.y[0], w=st.w[0],
+                           label=label)
 
 
 def sh_piezo_expected_wavenumbers(params: ShPiezoParams) -> tuple[complex, complex]:

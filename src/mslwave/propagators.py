@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (EXTENDED_COMPLEX, cond_estimate, det_pivoted,
-                      inv_pivoted, right_solve_checked, scaled_cond,
-                      solve_checked)
+                      inv_pivoted, right_solve_checked, right_solve_stack,
+                      scaled_cond, scaled_cond_stack, solve_checked)
 from .errors import (DegenerateModeError, IllConditionedError,
-                     MatrixOverflowError, SingularMatrixError, VariantError)
+                     MatrixOverflowError, PointFailures, SingularMatrixError,
+                     VariantError)
 from .media import MslCoefficients
-from .qep import ModeBasis, solve_qep
+from .qep import ModeBasis, ModeStack, solve_qep
 
 # exp(x) overflows double just above 709.78
 _EXP_OVERFLOW = float(np.log(np.finfo(float).max))
@@ -106,21 +107,14 @@ class BlockMatrix:
     def b22(self) -> np.ndarray:
         return self.block(2, 2)
 
-    def to_jsonable(self) -> dict:
-        """Row-major [re, im] pairs plus the variant tag."""
-        return {
-            "variant": self.variant.value,
-            "n": self.n,
-            "data": [[[float(e.real), float(e.imag)] for e in row]
-                     for row in self.data],
-        }
-
 
 def from_blocks(variant: Variant, b11, b12, b21, b22,
                 det_drift: float | None = None,
                 conditioning: float | None = None) -> BlockMatrix:
-    data = np.block([[np.asarray(b11, dtype=complex), np.asarray(b12, dtype=complex)],
-                     [np.asarray(b21, dtype=complex), np.asarray(b22, dtype=complex)]])
+    n = np.shape(b11)[0]
+    data = np.empty((2 * n, 2 * n), dtype=complex)
+    data[:n, :n], data[:n, n:] = b11, b12
+    data[n:, :n], data[n:, n:] = b21, b22
     return BlockMatrix(variant=variant, data=data, det_drift=det_drift,
                        conditioning=conditioning)
 
@@ -328,17 +322,68 @@ def _referenced_u_rows(basis: ModeBasis, d: float):
     Returns (f_at_z0, f_at_z, a_at_z0, a_at_z), each N x 2N with the
     plus columns first.
     """
-    k_p = np.array([md.k for md in basis.plus])
-    k_m = np.array([md.k for md in basis.minus])
-    ep = np.exp(1j * k_p * d)     # |.| <= 1 for Im k >= 0
-    em = np.exp(-1j * k_m * d)    # |.| <= 1 for Im k <= 0
-    f_p, f_m = basis.f0_plus, basis.f0_minus
-    a_p, a_m = basis.a0_plus, basis.a0_minus
-    f_z0 = np.hstack([f_p, f_m * em[None, :]])
-    f_z = np.hstack([f_p * ep[None, :], f_m])
-    a_z0 = np.hstack([a_p, a_m * em[None, :]])
-    a_z = np.hstack([a_p * ep[None, :], a_m])
-    return f_z0, f_z, a_z0, a_z
+    modes = basis.stack
+    at_z0, at_z = _reference_phases(modes, d)
+    return tuple((u * at)[0] for u, at in ((modes.f0, at_z0), (modes.f0, at_z),
+                                           (modes.a0, at_z0), (modes.a0, at_z)))
+
+
+def _reference_phases(modes: ModeStack, d: float):
+    """Column factors (G, 1, 2N) taking the referenced modes to z0 and z."""
+    n = modes.n
+    # exp(i k d) for the plus modes and exp(-i k d) for the minus modes:
+    # |.| <= 1 for Im k >= 0 and Im k <= 0 respectively
+    e = np.exp(1j * np.concatenate([modes.ks[:, :n], -modes.ks[:, n:]],
+                                   axis=1) * d)[:, None, :]
+    at_z0, at_z = e.copy(), e
+    at_z0[..., :n] = 1.0
+    at_z[..., n:] = 1.0
+    return at_z0, at_z
+
+
+def single_stack(variant: Variant, modes: ModeStack, d: float,
+                 fails: PointFailures) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked :func:`h_single_stable` or :func:`e_single_stable`: the
+    (G, 2N, 2N) data and the conditioning of every point.
+
+    H = U^{FA} [U^{AF}]^{-1} and E = U^{AA} [U^{FF}]^{-1}; a point whose
+    scaled condition of the inverted factor exceeds CONDITION_LIMIT, or
+    whose result is not finite, is recorded in ``fails``.
+    """
+    n = modes.n
+    at_z0, at_z = _reference_phases(modes, d)
+    # numerator and denominator rows: (F(z0); A(z)) over (A(z0); F(z))
+    # for H, (A(z0); A(z)) over (F(z0); F(z)) for E
+    num = np.empty(modes.ks.shape[:1] + (2 * n, 2 * n), dtype=complex)
+    den = np.empty_like(num)
+    if variant is Variant.H:
+        num[:, :n], num[:, n:] = modes.f0 * at_z0, modes.a0 * at_z
+        den[:, :n], den[:, n:] = modes.a0 * at_z0, modes.f0 * at_z
+        name, why = "U^AF", "hybrid matrix pole"
+    else:
+        num[:, :n], num[:, n:] = modes.a0 * at_z0, modes.a0 * at_z
+        den[:, :n], den[:, n:] = modes.f0 * at_z0, modes.f0 * at_z
+        name, why = "U^FF", "stiffness matrix is not computable at small thickness"
+    cond = scaled_cond_stack(den)
+    fails.add(cond > CONDITION_LIMIT, lambda i: IllConditionedError(
+        f"{name} condition {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e} "
+        f"({why})", estimate=float(cond[i])))
+    data = right_solve_stack(den, num, fails, name)
+    fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
+              MatrixOverflowError(f"{variant} matrix contains non-finite entries"))
+    fails.patch(data)
+    return data, cond
+
+
+def _single(variant: Variant, m: MslCoefficients, d: float,
+            basis: ModeBasis | None) -> BlockMatrix:
+    if d < 0:
+        raise ValueError("thickness must be >= 0")
+    fails = PointFailures(1)
+    data, cond = single_stack(variant, _basis_for(m, basis).stack, d, fails)
+    fails.raise_first()
+    return BlockMatrix(variant=variant, data=data[0],
+                       conditioning=float(cond[0]))
 
 
 def h_single_stable(m: MslCoefficients, d: float,
@@ -350,19 +395,7 @@ def h_single_stable(m: MslCoefficients, d: float,
     Column rescalings cancel in the product, so the result is base
     independent, and all entries stay finite for arbitrarily large d.
     """
-    if d < 0:
-        raise ValueError("thickness must be >= 0")
-    basis = _basis_for(m, basis)
-    f_z0, f_z, a_z0, a_z = _referenced_u_rows(basis, d)
-    u_fa = np.vstack([f_z0, a_z])
-    u_af = np.vstack([a_z0, f_z])
-    cond = scaled_cond(u_af)
-    if cond > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"U^AF condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e} "
-            "(hybrid matrix pole)", estimate=cond)
-    data = right_solve_checked(u_af, u_fa, "U^AF")
-    return BlockMatrix(variant=Variant.H, data=data, conditioning=cond)
+    return _single(Variant.H, m, d, basis)
 
 
 def e_single_stable(m: MslCoefficients, d: float,
@@ -374,20 +407,7 @@ def e_single_stable(m: MslCoefficients, d: float,
     collide as d -> 0, where construction is refused with a conditioning
     error: this small-thickness breakdown is intrinsic to E.
     """
-    if d < 0:
-        raise ValueError("thickness must be >= 0")
-    basis = _basis_for(m, basis)
-    f_z0, f_z, a_z0, a_z = _referenced_u_rows(basis, d)
-    u_aa = np.vstack([a_z0, a_z])
-    u_ff = np.vstack([f_z0, f_z])
-    cond = scaled_cond(u_ff)
-    if cond > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"U^FF condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e} "
-            "(stiffness matrix is not computable at small thickness)",
-            estimate=cond)
-    data = right_solve_checked(u_ff, u_aa, "U^FF")
-    return BlockMatrix(variant=Variant.E, data=data, conditioning=cond)
+    return _single(Variant.E, m, d, basis)
 
 
 def k_matrix(q_right: BlockMatrix, t: BlockMatrix,

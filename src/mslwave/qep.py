@@ -8,17 +8,22 @@ F(z) = f0 exp(i k z) with the 2N wavenumbers k given by the zeros of
 and mode shapes Theta(k) f0 = 0. The basis is split into N "plus" modes
 (Im k > 0, or right-going when k is real) and N "minus" modes; all the
 stable matrix constructions downstream rely on that split.
+
+:func:`solve_qep_stack` solves G media at once, one per parameter
+point, and records failures per point; :func:`solve_qep` is its G = 1
+case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import solve_checked
-from .errors import EigensolveError, PartitionError
-from .media import MslCoefficients
+from ._linalg import solve_stack, stacked_call
+from .errors import EigensolveError, PartitionError, PointFailures
+from .media import MediumStack, MslCoefficients
 
 RESIDUAL_RTOL = 1e-9
 DEGENERACY_RTOL = 1e-8
@@ -26,9 +31,14 @@ DEGENERACY_RTOL = 1e-8
 REAL_K_RTOL = 1e-9
 
 
+def _theta(b, py, w, k):
+    """Theta(k) = -k^2 b + i k (p + y) + w, broadcast over leading axes."""
+    return -k ** 2 * b + 1j * k * py + w
+
+
 def secular_matrix(m: MslCoefficients, k: complex) -> np.ndarray:
     """Theta(k) = -k^2 b + i k (p + y) + w."""
-    return -k ** 2 * m.b + 1j * k * (m.p + m.y) + m.w
+    return _theta(m.b, m.p + m.y, m.w, k)
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,43 @@ class Mode:
         a0.setflags(write=False)
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "a0", a0)
+
+
+@dataclass(frozen=True)
+class ModeStack:
+    """The 2N modes of one medium at G parameter points, as arrays.
+
+    Columns 0..N-1 are the plus modes and N..2N-1 the minus modes, each
+    set in :class:`ModeBasis` order: ``ks`` is (G, 2N), the shapes
+    ``f0`` and amplitudes ``a0`` are (G, N, 2N), ``degenerate`` is (G,).
+    """
+
+    ks: np.ndarray
+    f0: np.ndarray
+    a0: np.ndarray
+    degenerate: np.ndarray
+
+    @classmethod
+    def of(cls, basis: "ModeBasis") -> "ModeStack":
+        return cls(ks=basis.ks[None],
+                   f0=np.column_stack([md.f0 for md in basis.modes])[None],
+                   a0=np.column_stack([md.a0 for md in basis.modes])[None],
+                   degenerate=np.array([basis.degenerate]))
+
+    @property
+    def n(self) -> int:
+        return self.f0.shape[1]
+
+    def basis(self, i: int, medium: MslCoefficients) -> "ModeBasis":
+        """The :class:`ModeBasis` of point ``i``."""
+        n = self.n
+        modes = tuple(Mode(k=complex(self.ks[i, j]), f0=self.f0[i, :, j],
+                           a0=self.a0[i, :, j]) for j in range(2 * n))
+        basis = ModeBasis(plus=modes[:n], minus=modes[n:], medium=medium,
+                          degenerate=bool(self.degenerate[i]))
+        if len(self.ks) == 1:  # seed the basis's cached G = 1 stack
+            basis.__dict__["stack"] = self
+        return basis
 
 
 @dataclass(frozen=True)
@@ -86,6 +133,11 @@ class ModeBasis:
     def a0_minus(self) -> np.ndarray:
         return np.column_stack([md.a0 for md in self.minus])
 
+    @cached_property
+    def stack(self) -> ModeStack:
+        """This basis as the G = 1 :class:`ModeStack`."""
+        return ModeStack.of(self)
+
     def max_abs_im_k(self) -> float:
         return float(np.max(np.abs(self.ks.imag)))
 
@@ -93,41 +145,98 @@ class ModeBasis:
 def linear_form_amplitudes(m: MslCoefficients, ks: np.ndarray,
                            f0s: np.ndarray) -> np.ndarray:
     """a0_j = (i k_j b + p) f0_j for mode shapes stacked as columns."""
-    ks = np.asarray(ks)
-    f0s = np.asarray(f0s)
-    return 1j * ks[None, :] * (m.b @ f0s) + m.p @ f0s
+    return _amplitudes(m.b, m.p, np.asarray(ks), np.asarray(f0s))
 
 
-def _theta_scale(m: MslCoefficients, k: complex) -> float:
-    """Backward-error denominator |k|^2 ||b|| + |k| ||p+y|| + ||w||.
+def _amplitudes(b, p, ks, f0s):
+    return 1j * ks[..., None, :] * (b @ f0s) + p @ f0s
 
-    ||Theta(k)|| itself vanishes at eigenvalues, so the residual must be
-    measured against the size of the terms that formed it.
+
+def _theta_scales(media: MediumStack, py: np.ndarray) -> np.ndarray:
+    """2-norms of b, p + y and w of each point, as a (3, G, 1) array."""
+    return np.linalg.svd(np.stack([media.b, py, media.w]),
+                         compute_uv=False)[..., :1]
+
+
+def _residuals(media: MediumStack, py, norms, ks, f0s) -> np.ndarray:
+    """Backward errors ||Theta(k_j) f0_j|| / max(1, scale_j), (G, 2N).
+
+    ||Theta(k)|| itself vanishes at eigenvalues, so the residual is
+    measured against |k|^2 ||b|| + |k| ||p+y|| + ||w||, the size of the
+    terms that formed it.
     """
-    ak = abs(k)
-    return (ak * ak * np.linalg.norm(m.b, 2)
-            + ak * np.linalg.norm(m.p + m.y, 2)
-            + np.linalg.norm(m.w, 2))
+    k = ks[:, None, :]
+    r = _theta(media.b @ f0s, py @ f0s, media.w @ f0s, k)
+    ak = np.abs(ks)
+    scale = ak * ak * norms[0] + ak * norms[1] + norms[2]
+    return np.linalg.norm(r, axis=1) / np.maximum(1.0, scale)
 
 
-def _mode_residual(m: MslCoefficients, k: complex, f0: np.ndarray) -> float:
-    theta = secular_matrix(m, k)
-    return float(np.linalg.norm(theta @ f0) / max(1.0, _theta_scale(m, k)))
-
-
-def _refine_shape(m: MslCoefficients, k: complex, f0: np.ndarray) -> np.ndarray:
-    """Replace f0 with the right singular vector of the smallest sigma.
+def _refine_shapes(media: MediumStack, py, ks, f0s, redo) -> None:
+    """Replace each flagged shape with the right singular vector of the
+    smallest sigma of Theta(k), in place.
 
     One residual-based refinement: for the computed k this minimizes
     ||Theta(k) f0|| over unit vectors, cleaning up linearization noise.
+    The phase is kept close to the original shape for determinism.
     """
-    _, _, vh = np.linalg.svd(secular_matrix(m, k))
-    cand = vh[-1].conj()
-    # keep the phase close to the original shape for determinism
-    overlap = complex(np.vdot(cand, f0))
-    if abs(overlap) > 0:
-        cand = cand * (overlap / abs(overlap))
-    return cand
+    gi, ji = np.nonzero(redo)
+    theta = _theta(media.b[gi], py[gi], media.w[gi], ks[gi, ji][:, None, None])
+    cand = np.linalg.svd(theta)[2][:, -1, :].conj()
+    overlap = np.sum(cand.conj() * f0s[gi, :, ji], axis=-1)
+    mag = np.abs(overlap)
+    phase = np.where(mag > 0, overlap / np.where(mag > 0, mag, 1.0), 1.0)
+    f0s[gi, :, ji] = cand * phase[:, None]
+
+
+def _precedes(*keys) -> np.ndarray:
+    """(G, M, M) mask: entry [i, j] is whether i sorts before j by the
+    (G, M) keys compared lexicographically, ties broken by index."""
+    m = keys[0].shape[1]
+    before = np.tri(m, k=-1, dtype=bool).T  # i < j
+    for key in reversed(keys):
+        a, b = key[:, :, None], key[:, None, :]
+        before = (a < b) | ((a == b) & before)
+    return before
+
+
+def _partition_stack(b, p, ks, f0s, fails: PointFailures,
+                     real_k_rtol: float = REAL_K_RTOL) -> ModeStack:
+    """Split each point's 2N eigenpairs into plus and minus sets."""
+    n = ks.shape[1] // 2
+    tol = real_k_rtol * np.maximum(1.0, np.max(np.abs(ks), axis=1,
+                                                keepdims=True))
+    im, re = ks.imag, ks.real
+    real_zone = ~((im > tol) | (im < -tol))
+    plus = (im > tol) | (real_zone & (re > tol))
+    undecided = real_zone & ~(re > tol) & ~(re < -tol)
+    # undecided eigenvalues fill the plus set first, in index order
+    room = n - np.sum(plus, axis=1, keepdims=True)
+    plus |= undecided & (np.cumsum(undecided, axis=1) <= room)
+    fails.add(np.sum(plus, axis=1) != n, lambda i: PartitionError(
+        f"cannot split eigenvalues into {n}/{n} plus/minus sets: "
+        f"{np.array2string(ks[i], precision=6)}"))
+
+    ak = np.abs(ks)
+    pair_scale = np.maximum(1.0, np.maximum(ak[:, :, None], ak[:, None, :]))
+    close = np.abs(ks[:, :, None] - ks[:, None, :]) < DEGENERACY_RTOL * pair_scale
+    # every k is close to itself: a pair is close beyond the 2N diagonal
+    degenerate = (undecided.any(axis=1)
+                  | (np.count_nonzero(close, axis=(1, 2)) > 2 * n))
+
+    # plus set first; within a set by decreasing Im k, then increasing
+    # Re k, then index: j's position is the number of modes before it
+    order = np.argsort(np.sum(_precedes(~plus, -im, re), axis=1), axis=1)
+    rows = np.arange(len(ks))[:, None]
+    ks = ks[rows, order]
+    f0s = np.swapaxes(np.swapaxes(f0s, 1, 2)[rows, order], 1, 2)
+    norms = np.linalg.norm(f0s, axis=1)
+    zero = norms == 0
+    fails.add(zero.any(axis=1), lambda i: EigensolveError(
+        "zero mode shape from eigensolve"))
+    f0s = f0s / np.where(zero, 1.0, norms)[:, None, :]
+    return ModeStack(ks=ks, f0=f0s, a0=_amplitudes(b, p, ks, f0s),
+                     degenerate=degenerate)
 
 
 def partition_modes(m: MslCoefficients, ks: np.ndarray, f0s: np.ndarray,
@@ -145,105 +254,80 @@ def partition_modes(m: MslCoefficients, ks: np.ndarray, f0s: np.ndarray,
     if ks.shape[0] != 2 * n or f0s.shape != (n, 2 * n):
         raise PartitionError(
             f"expected 2N = {2 * n} eigenpairs, got {ks.shape[0]}")
-
-    scale = max(1.0, float(np.max(np.abs(ks))))
-    tol = real_k_rtol * scale
-
-    plus_idx: list[int] = []
-    minus_idx: list[int] = []
-    undecided: list[int] = []
-    for j, k in enumerate(ks):
-        if k.imag > tol:
-            plus_idx.append(j)
-        elif k.imag < -tol:
-            minus_idx.append(j)
-        elif k.real > tol:
-            plus_idx.append(j)
-        elif k.real < -tol:
-            minus_idx.append(j)
-        else:
-            undecided.append(j)
-
-    degenerate = bool(undecided)
-    for j in undecided:
-        (plus_idx if len(plus_idx) < n else minus_idx).append(j)
-
-    if len(plus_idx) != n or len(minus_idx) != n:
-        offending = np.array2string(ks, precision=6)
-        raise PartitionError(
-            f"cannot split eigenvalues into {n}/{n} plus/minus sets: {offending}")
-
-    # pairwise closeness check for the degeneracy flag
-    if not degenerate:
-        for i in range(2 * n):
-            for j in range(i + 1, 2 * n):
-                pair_scale = max(1.0, abs(ks[i]), abs(ks[j]))
-                if abs(ks[i] - ks[j]) < DEGENERACY_RTOL * pair_scale:
-                    degenerate = True
-                    break
-            if degenerate:
-                break
-
-    def _sorted(idx: list[int]) -> list[int]:
-        return sorted(idx, key=lambda j: (-ks[j].imag, ks[j].real))
-
-    def _build(idx: list[int]) -> tuple[Mode, ...]:
-        out = []
-        for j in _sorted(idx):
-            f0 = f0s[:, j]
-            norm = np.linalg.norm(f0)
-            if norm == 0:
-                raise EigensolveError("zero mode shape from eigensolve")
-            f0 = f0 / norm
-            a0 = linear_form_amplitudes(m, np.array([ks[j]]), f0[:, None])[:, 0]
-            out.append(Mode(k=complex(ks[j]), f0=f0, a0=a0))
-        return tuple(out)
-
-    return ModeBasis(plus=_build(plus_idx), minus=_build(minus_idx),
-                     medium=m, degenerate=degenerate)
+    fails = PointFailures(1)
+    modes = _partition_stack(m.b[None], m.p[None], ks[None], f0s[None],
+                             fails, real_k_rtol)
+    fails.raise_first()
+    return modes.basis(0, m)
 
 
-def solve_qep(m: MslCoefficients,
-              residual_rtol: float = RESIDUAL_RTOL) -> ModeBasis:
-    """Solve the quadratic eigenproblem by companion linearization.
+def _companion_modes(media: MediumStack, py: np.ndarray,
+                     fails: PointFailures) -> tuple[np.ndarray, np.ndarray]:
+    """Wavenumbers (G, 2N) and unit shapes (G, N, 2N) from the companion
+    eigensolve."""
+    n = media.n
+    binv = solve_stack(media.b, np.concatenate([media.w, py], axis=-1),
+                       fails, "B")
+    companion = np.zeros((media.g, 2 * n, 2 * n), dtype=complex)
+    companion[:, :n, n:] = np.eye(n)
+    companion[:, n:, :] = -binv
+    mu, vectors = stacked_call(
+        np.linalg.eig, fails,
+        lambda i, exc: EigensolveError(f"companion eigensolve failed: {exc}"),
+        companion)
+    ks = -1j * mu
+    # companion eigenvectors can have a vanishing F part only for
+    # infinite eigenvalues, which a regular b excludes; still normalize
+    # and refine the shapes against Theta(k).
+    f0s = vectors[:, :n, :]
+    norms = np.linalg.norm(f0s, axis=1)
+    tiny = norms < 1e-300
 
-    Pairs (F, i k F) so the problem becomes a standard eigenproblem for
+    def no_field(i: int) -> EigensolveError:
+        j = int(np.argmax(tiny[i]))
+        return EigensolveError(
+            f"eigenvector {j} has no field component (k = {ks[i, j]:.6g})")
+
+    fails.add(tiny.any(axis=1), no_field)
+    return ks, f0s / np.where(tiny, 1.0, norms)[:, None, :]
+
+
+def solve_qep_stack(media: MediumStack, fails: PointFailures,
+                    residual_rtol: float = RESIDUAL_RTOL) -> ModeStack:
+    """Solve the quadratic eigenproblems of G media by companion
+    linearization.
+
+    Pairs (F, i k F) so each problem becomes a standard eigenproblem for
     mu = i k:
 
         mu [f; h] = [[0, I], [-b^{-1} w, -b^{-1}(p + y)]] [f; h].
 
-    Shapes get one SVD-based residual refinement; residuals above
-    ``residual_rtol`` (relative to ||Theta(k)||) raise.
+    Shapes whose residual exceeds half of ``residual_rtol`` get one
+    SVD-based refinement; a point whose worst residual (relative to the
+    size of Theta(k)) stays above ``residual_rtol``, whose b is
+    singular, or whose modes do not split N/N is recorded in ``fails``.
     """
-    n = m.n
-    binv_w = solve_checked(m.b, m.w, "B")
-    binv_py = solve_checked(m.b, m.p + m.y, "B")
-    companion = np.block([
-        [np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)],
-        [-binv_w, -binv_py],
-    ])
-    try:
-        mu, vectors = np.linalg.eig(companion)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError(f"companion eigensolve failed: {exc}") from exc
+    py = media.p + media.y
+    ks, f0s = _companion_modes(media, py, fails)
+    theta_norms = _theta_scales(media, py)
+    redo = _residuals(media, py, theta_norms, ks, f0s) > 0.5 * residual_rtol
+    if redo.any():
+        _refine_shapes(media, py, ks, f0s, redo)
 
-    ks = -1j * mu
-    f0s = vectors[:n, :].copy()
-    # companion eigenvectors can have a vanishing F part only for
-    # infinite eigenvalues, which a regular b excludes; still normalize
-    # and refine the shapes against Theta(k).
-    for j in range(2 * n):
-        norm = np.linalg.norm(f0s[:, j])
-        if norm < 1e-300:
-            raise EigensolveError(
-                f"eigenvector {j} has no field component (k = {ks[j]:.6g})")
-        f0s[:, j] /= norm
-        if _mode_residual(m, ks[j], f0s[:, j]) > 0.5 * residual_rtol:
-            f0s[:, j] = _refine_shape(m, ks[j], f0s[:, j])
+    modes = _partition_stack(media.b, media.p, ks, f0s, fails)
+    worst = np.max(_residuals(media, py, theta_norms, modes.ks, modes.f0),
+                   axis=1)
+    fails.add(worst > residual_rtol, lambda i: EigensolveError(
+        f"QEP residual {worst[i]:.3e} exceeds tolerance {residual_rtol:.1e}"))
+    fails.patch(modes.ks, modes.f0, modes.a0, modes.degenerate)
+    return modes
 
-    basis = partition_modes(m, ks, f0s)
-    worst = max(_mode_residual(m, md.k, md.f0) for md in basis.modes)
-    if worst > residual_rtol:
-        raise EigensolveError(
-            f"QEP residual {worst:.3e} exceeds tolerance {residual_rtol:.1e}")
-    return basis
+
+def solve_qep(m: MslCoefficients,
+              residual_rtol: float = RESIDUAL_RTOL) -> ModeBasis:
+    """Solve the quadratic eigenproblem of one medium (the G = 1 case of
+    :func:`solve_qep_stack`); failures raise."""
+    fails = PointFailures(1)
+    modes = solve_qep_stack(MediumStack.of(m), fails, residual_rtol)
+    fails.raise_first()
+    return modes.basis(0, m)

@@ -5,6 +5,11 @@ zeros of det Ms), Bloch dispersion of periodic stacks in all four
 variants, the scalar Kronig-Penney specializations, a transcendental
 finite-well oracle, and the secular-scan machinery shared by all of
 them.
+
+The escape and SH-wave scans evaluate their secular determinant over
+blocks of SCAN_BLOCK parameter points at once through the stacked
+kernels; :func:`scan_and_refine` refines all brackets of a scan in
+lockstep, so refinement runs in blocks too.
 """
 
 from __future__ import annotations
@@ -12,25 +17,33 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from ._linalg import solve_checked
-from .compose import compose_e, compose_h, compose_t, structure_propagator
-from .errors import ModelingError, MslError, VariantError
+from .compose import (compose_e, compose_h, compose_t, fold_stack,
+                      structure_propagator)
+from .errors import (IllConditionedError, ModelingError, MslError,
+                     PointFailures, VariantError)
 from .media import (Layer, LayeredStructure, MslCoefficients,
-                    make_quantum_medium)
-from .propagators import (BlockMatrix, Variant, e_single_stable,
-                          h_single_stable, k_matrix, s_from_k, t_single)
-from .qep import ModeBasis, solve_qep
+                    StackedStructure, make_quantum_medium)
+from .propagators import (BlockMatrix, Variant, antidiagonal_identity,
+                          e_single_stable, h_single_stable, k_matrix,
+                          s_from_k, t_single)
+from .qep import ModeBasis, solve_qep, solve_qep_stack
 from .structure_io import StructureDefinition
 
 # |f(root)| above this fraction of the scan's typical magnitude marks a
 # pole crossing (sign flip through infinity), not a zero.
 ROOT_RESIDUAL_RFRAC = 1e-3
+# Parameter points per stacked evaluation. Larger blocks amortize more
+# per-call overhead but raise a scan's peak memory; see CHANGES.md for
+# the measurement behind the choice.
+SCAN_BLOCK = 8
+# Iteration cap of the bisection and golden-section refiners.
+_MAX_REFINE = 4096
 
 
 class ModelingWarning(UserWarning):
@@ -58,9 +71,13 @@ class OutgoingBasis:
                    li=np.vstack([basis.f0_plus, basis.a0_plus]))
 
     def decays(self, tol: float = 1e-12) -> bool:
-        ks = np.array([md.k for md in self.modes])
-        scale = max(1.0, float(np.max(np.abs(ks))))
-        return bool(np.all(np.abs(ks.imag) > tol * scale))
+        return bool(_decays(np.array([[md.k for md in self.modes]]), tol)[0])
+
+
+def _decays(ks: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Whether every wavenumber of each row of a (G, N) array decays."""
+    scale = np.maximum(1.0, np.max(np.abs(ks), axis=1, keepdims=True))
+    return (np.abs(ks.imag) > tol * scale).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -111,61 +128,114 @@ class SecularScan:
         }
 
 
-def _parallel_map(func, xs, threads: int):
-    if threads <= 1:
-        return [func(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, xs))
+class _Stacked:
+    """A secular function that evaluates a whole block of points:
+    ``evaluate(xs)`` returns (values, masked) arrays for the 1-D ``xs``."""
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
 
 
-def _bisect(func, lo: float, hi: float, tol: float):
-    """Plain bisection on the real part; returns None if an evaluation
-    inside the bracket fails (masked region)."""
-    try:
-        flo = func(lo).real
-    except MslError:
-        return None
-    for _ in range(4096):
-        if hi - lo <= tol:
+def _pointwise(func):
+    """Block evaluator looping a scalar callable; a library error masks
+    the point."""
+    def evaluate(xs):
+        values = np.full(len(xs), np.nan, dtype=complex)
+        masked = np.zeros(len(xs), dtype=bool)
+        for i, x in enumerate(xs):
+            try:
+                values[i] = complex(func(float(x)))
+            except MslError:
+                masked[i] = True
+        return values, masked
+    return evaluate
+
+
+def _evaluate(evaluate, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate at ``xs`` in blocks of at most SCAN_BLOCK points."""
+    xs = np.asarray(xs, dtype=float)
+    values = np.empty(len(xs), dtype=complex)
+    masked = np.empty(len(xs), dtype=bool)
+    for s in range(0, len(xs), SCAN_BLOCK):
+        block = slice(s, s + SCAN_BLOCK)
+        values[block], masked[block] = evaluate(xs[block])
+    return values, masked
+
+
+def _bisect_all(evaluate, lo, hi, flo, tol: float):
+    """Bisection on the real part of every bracket, in lockstep.
+
+    Each round evaluates the midpoints of all unfinished brackets at
+    once. Returns (x, fx): x is NaN where an evaluation inside the
+    bracket was masked; fx is the value at x when it was met exactly
+    (a zero midpoint) and NaN when x still needs evaluating.
+    """
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    x = np.full(len(lo), np.nan)
+    fx = np.full(len(lo), np.nan, dtype=complex)
+    active = np.ones(len(lo), dtype=bool)
+    for _ in range(_MAX_REFINE):
+        done = active & (hi - lo <= tol)
+        x[done] = 0.5 * (lo[done] + hi[done])
+        active &= ~done
+        idx = np.flatnonzero(active)
+        if not len(idx):
             break
-        mid = 0.5 * (lo + hi)
-        try:
-            fmid = func(mid).real
-        except MslError:
-            return None
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[idx] + hi[idx])
+        f, masked = _evaluate(evaluate, mid)
+        fmid = f.real
+        zero = ~masked & (fmid == 0.0)
+        x[idx[zero]] = mid[zero]
+        fx[idx[zero]] = f[zero]
+        active[idx[masked | zero]] = False
+        same = ~masked & ~zero & ((flo[idx] < 0.0) == (fmid < 0.0))
+        other = ~masked & ~zero & ~same
+        lo[idx[same]], flo[idx[same]] = mid[same], fmid[same]
+        hi[idx[other]] = mid[other]
+    x[active] = 0.5 * (lo[active] + hi[active])
+    return x, fx
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(absfunc, a: float, b: float, c: float, tol: float):
-    """Golden-section minimization of |f| on a bracketing triplet."""
+def _abs_values(evaluate, xs) -> np.ndarray:
+    """|f| at ``xs``, inf at masked points."""
+    f, masked = _evaluate(evaluate, xs)
+    return np.where(masked, np.inf, np.abs(f))
+
+
+def _golden_all(evaluate, a, c, tol: float):
+    """Golden-section minimization of |f| on every triplet, in lockstep.
+
+    Returns (x, |f(x)|) per triplet; |f| is inf where x was masked.
+    """
+    a, c = a.copy(), c.copy()
+    k = len(a)
     x1 = c - _GOLDEN * (c - a)
     x2 = a + _GOLDEN * (c - a)
-    f1, f2 = absfunc(x1), absfunc(x2)
-    for _ in range(4096):
-        if (c - a) <= tol:
+    mags = _abs_values(evaluate, np.concatenate([x1, x2]))
+    f1, f2 = mags[:k], mags[k:]
+    active = np.ones(k, dtype=bool)
+    for _ in range(_MAX_REFINE):
+        active &= ~(c - a <= tol)
+        idx = np.flatnonzero(active)
+        if not len(idx):
             break
-        if f1 < f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - _GOLDEN * (c - a)
-            f1 = absfunc(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (c - a)
-            f2 = absfunc(x2)
-    return x1 if f1 < f2 else x2
+        left = f1[idx] < f2[idx]
+        il, ir = idx[left], idx[~left]
+        c[il], x2[il], f2[il] = x2[il], x1[il], f1[il]
+        x1[il] = c[il] - _GOLDEN * (c[il] - a[il])
+        a[ir], x1[ir], f1[ir] = x1[ir], x2[ir], f2[ir]
+        x2[ir] = a[ir] + _GOLDEN * (c[ir] - a[ir])
+        fnew = _abs_values(evaluate, np.where(left, x1[idx], x2[idx]))
+        f1[il], f2[ir] = fnew[left], fnew[~left]
+    first = f1 < f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
 def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
-                    param_name: str = "x", threads: int = 1,
+                    param_name: str = "x",
                     root_residual_rfrac: float = ROOT_RESIDUAL_RFRAC
                     ) -> SecularScan:
     """Sample a secular function, bracket its zeros, and refine them.
@@ -177,20 +247,19 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
     section. Refined candidates whose residual stays a sizable fraction
     of the scan's typical magnitude are pole crossings or shallow dips,
     not roots, and are dropped.
+
+    The grid is evaluated in blocks of SCAN_BLOCK points and all brackets
+    are refined in lockstep, one block evaluation per round for all of
+    them. A plain callable is evaluated point by point within each
+    block; the escape and SH-wave scans pass a stacked evaluator.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with >= 2 points")
+    evaluate = (func.evaluate if isinstance(func, _Stacked)
+                else _pointwise(func))
 
-    def eval_point(x: float):
-        try:
-            return complex(func(x)), False
-        except MslError:
-            return complex(np.nan), True
-
-    results = _parallel_map(eval_point, grid, threads)
-    values = np.array([v for v, _ in results], dtype=complex)
-    masked = np.array([m for _, m in results], dtype=bool)
+    values, masked = _evaluate(evaluate, grid)
 
     finite = values[~masked]
     if mode == "auto":
@@ -207,56 +276,94 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
     value_scale = float(np.median(np.abs(finite))) if len(finite) else 0.0
     residual_limit = max(root_residual_rfrac * value_scale, 1e-280)
 
-    brackets: list[tuple[float, float]] = []
-    roots: list[RootRecord] = []
-
-    def try_accept(x, bracket):
-        if x is None:
-            return
-        try:
-            res = abs(complex(func(x)))
-        except MslError:
-            return
-        if res <= residual_limit:
-            roots.append(RootRecord(value=float(x), residual=res,
-                                    bracket=bracket))
-
     if mode == "sign":
         re = values.real
-        for i in range(len(grid) - 1):
-            if masked[i] or masked[i + 1]:
-                continue
-            if re[i] == 0.0:
-                brackets.append((float(grid[i]), float(grid[i])))
-                try_accept(float(grid[i]), brackets[-1])
-                continue
-            if re[i] * re[i + 1] < 0.0:
-                bracket = (float(grid[i]), float(grid[i + 1]))
-                brackets.append(bracket)
-                try_accept(_bisect(lambda x: complex(func(x)),
-                                   *bracket, tol), bracket)
+        pair_ok = ~masked[:-1] & ~masked[1:]
+        at_zero = pair_ok & (re[:-1] == 0.0)
+        starts = np.flatnonzero(at_zero | (pair_ok & (re[:-1] * re[1:] < 0.0)))
+        at_zero = at_zero[starts]
+        ends = np.where(at_zero, starts, starts + 1)
+        sign = starts[~at_zero]
+        x = grid[starts]
+        res = np.abs(values[starts])
+        xs, fx = _bisect_all(evaluate, grid[sign], grid[sign + 1],
+                             re[sign], tol)
+        need = np.isnan(fx) & ~np.isnan(xs)
+        f, f_masked = _evaluate(evaluate, xs[need])
+        fx[need] = np.where(f_masked, np.nan, f)
+        x[~at_zero], res[~at_zero] = xs, np.abs(fx)
     else:
         mag = np.abs(values)
+        inner = ~masked[:-2] & ~masked[1:-1] & ~masked[2:]
+        centers = 1 + np.flatnonzero(inner & (mag[1:-1] <= mag[:-2])
+                                     & (mag[1:-1] <= mag[2:]))
+        starts, ends = centers - 1, centers + 1
+        x, res = _golden_all(evaluate, grid[starts], grid[ends], tol)
 
-        def absfunc(x: float) -> float:
-            try:
-                return abs(complex(func(x)))
-            except MslError:
-                return float("inf")
-
-        for i in range(1, len(grid) - 1):
-            if masked[i - 1] or masked[i] or masked[i + 1]:
-                continue
-            if mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1]:
-                bracket = (float(grid[i - 1]), float(grid[i + 1]))
-                brackets.append(bracket)
-                x = _golden_min(absfunc, grid[i - 1], grid[i], grid[i + 1], tol)
-                try_accept(x, bracket)
-
+    brackets = tuple((float(grid[i]), float(grid[j]))
+                     for i, j in zip(starts, ends))
+    # NaN x or residual (masked) fails the residual test
+    roots = [RootRecord(value=float(xv), residual=float(r), bracket=br)
+             for xv, r, br in zip(x, res, brackets) if r <= residual_limit]
     roots.sort(key=lambda r: r.value)
     return SecularScan(param_name=param_name, grid=grid, values=values,
-                       masked=masked, brackets=tuple(brackets),
+                       masked=masked, brackets=brackets,
                        roots=tuple(roots), mode=mode)
+
+
+def escape_secular_stack(st: StackedStructure, variant: Variant | str,
+                         fails: PointFailures, modes: dict | None = None,
+                         bound_state: bool = False) -> np.ndarray:
+    """Escape secular matrices Ms of G bound points, (G, 2N, 2N).
+
+    The stacked form of :func:`escape_secular`: ``modes`` maps media
+    keys to known :class:`ModeStack` objects, and a point that fails anywhere
+    (mode solve, decay check, single layer, fold) is recorded in
+    ``fails``; its Ms is not meaningful.
+    """
+    variant = Variant(variant)
+    if variant not in (Variant.H, Variant.E):
+        raise VariantError(f"escape problem supports H or E, got {variant}")
+    g, n = st.g, st.n
+    cache = dict(modes or {})
+
+    def modes_of(key):
+        if key not in cache:
+            cache[key] = solve_qep_stack(st.media[key], fails)
+        return cache[key]
+
+    left, right = modes_of(st.left), modes_of(st.right)
+    if bound_state:
+        fails.add(~(_decays(left.ks[:, n:]) & _decays(right.ks[:, :n])),
+                  lambda i: ModelingError(
+                      "bound-state problem requires decaying outgoing modes "
+                      "in both half-spaces (propagating mode found)"))
+
+    layers = [(key, d) for key, d in st.layers if d > 0.0]
+    if not layers and variant is Variant.E:
+        fails.add(np.ones(g, dtype=bool), lambda i: IllConditionedError(
+            "E matrix of a zero-thickness region is not computable"))
+    if fails.all_failed:
+        return np.full((g, 2 * n, 2 * n), np.nan, dtype=complex)
+    if layers:
+        inner = fold_stack(layers, variant, modes_of, fails)[0]
+    else:
+        inner = antidiagonal_identity(n).data[None]
+    h11, h12 = inner[:, :n, :n], inner[:, :n, n:]
+    h21, h22 = inner[:, n:, :n], inner[:, n:, n:]
+    # outgoing waves only: minus modes of L, plus modes of R
+    li_l_f, li_l_a = left.f0[:, :, n:], left.a0[:, :, n:]
+    li_r_f, li_r_a = right.f0[:, :, :n], right.a0[:, :, :n]
+    ms = np.empty((g, 2 * n, 2 * n), dtype=complex)
+    if variant is Variant.H:
+        ms[:, :n, :n] = -li_l_f + h11 @ li_l_a
+        ms[:, n:, :n] = h21 @ li_l_a
+    else:
+        ms[:, :n, :n] = h11 @ li_l_f - li_l_a
+        ms[:, n:, :n] = h21 @ li_l_f
+    ms[:, :n, n:] = h12 @ li_r_f
+    ms[:, n:, n:] = h22 @ li_r_f - li_r_a
+    return ms
 
 
 def escape_secular(s: LayeredStructure, variant: Variant | str = Variant.H,
@@ -272,56 +379,43 @@ def escape_secular(s: LayeredStructure, variant: Variant | str = Variant.H,
              [[ 0  H21] LI_l,  [H22 -I] LI_r]]
 
     and analogously with (E11 - I / E12 / E21 / E22 - I) for E. With the
-    ``bound_state`` flag every outgoing mode must genuinely decay.
+    ``bound_state`` flag every outgoing mode must genuinely decay. This
+    is the G = 1 case of :func:`escape_secular_stack`; failures raise.
     """
-    variant = Variant(variant)
-    if variant not in (Variant.H, Variant.E):
-        raise VariantError(f"escape problem supports H or E, got {variant}")
-    cache = dict(bases or {})
+    fails = PointFailures(1)
+    ms = escape_secular_stack(
+        StackedStructure.of(s), variant, fails,
+        {m: basis.stack for m, basis in (bases or {}).items()}, bound_state)
+    fails.raise_first()
+    return ms[0]
 
-    def basis_of(m: MslCoefficients) -> ModeBasis:
-        if m not in cache:
-            cache[m] = solve_qep(m)
-        return cache[m]
 
-    out_l = OutgoingBasis.for_left(basis_of(s.left))
-    out_r = OutgoingBasis.for_right(basis_of(s.right))
-    if bound_state and not (out_l.decays() and out_r.decays()):
-        raise ModelingError(
-            "bound-state problem requires decaying outgoing modes in both "
-            "half-spaces (propagating mode found)")
+def _escape_scan(defn: StructureDefinition, grid, variant, tol: float,
+                 param_name: str, bound_state: bool, bind) -> SecularScan:
+    """Scan det Ms with ``defn`` bound by ``bind(points)`` per block."""
 
-    n = s.n
-    li_l_f, li_l_a = out_l.li[:n], out_l.li[n:]
-    li_r_f, li_r_a = out_r.li[:n], out_r.li[n:]
+    def evaluate(xs):
+        fails = PointFailures(len(xs))
+        st = defn.bind_stack(fails, **bind(xs))
+        values = np.full(len(xs), np.nan, dtype=complex)
+        if not fails.all_failed:
+            ms = escape_secular_stack(st, variant, fails,
+                                      bound_state=bound_state)
+            ok = ~fails.failed
+            values[ok] = np.linalg.det(ms[ok])
+        return values, fails.failed
 
-    inner, _ = structure_propagator(s, variant, cache)
-    if variant is Variant.H:
-        ms11 = -li_l_f + inner.b11 @ li_l_a
-        ms12 = inner.b12 @ li_r_f
-        ms21 = inner.b21 @ li_l_a
-        ms22 = inner.b22 @ li_r_f - li_r_a
-    else:
-        ms11 = inner.b11 @ li_l_f - li_l_a
-        ms12 = inner.b12 @ li_r_f
-        ms21 = inner.b21 @ li_l_f
-        ms22 = inner.b22 @ li_r_f - li_r_a
-    return np.block([[ms11, ms12], [ms21, ms22]])
+    return scan_and_refine(_Stacked(evaluate), grid, tol=tol,
+                           param_name=param_name)
 
 
 def escape_energy_scan(defn: StructureDefinition, e_grid,
                        variant: Variant | str = Variant.H,
-                       tol: float = 1e-10, threads: int = 1,
+                       tol: float = 1e-10,
                        bound_state: bool = True) -> SecularScan:
     """Scan det Ms over energy for a quantum structure definition."""
-
-    def f(energy: float) -> complex:
-        s = defn.bind(energy=energy)
-        return complex(np.linalg.det(
-            escape_secular(s, variant, bound_state=bound_state)))
-
-    return scan_and_refine(f, e_grid, tol=tol, param_name="energy",
-                           threads=threads)
+    return _escape_scan(defn, e_grid, variant, tol, "energy", bound_state,
+                        lambda energies: {"energy": energies})
 
 
 def periodic_dispersion(period: LayeredStructure, variant: Variant | str,
@@ -558,8 +652,7 @@ def _predict_energy(points, q: float) -> float:
 
 def band_structure(period: StructureDefinition, q_grid, e_range,
                    variant: Variant | str = Variant.H,
-                   e_count: int = 600, tol: float = 1e-10,
-                   threads: int = 1) -> list[Band]:
+                   e_count: int = 600, tol: float = 1e-10) -> list[Band]:
     """Roots of the periodic dispersion over a (q, E) window, connected
     into branches by nearest-neighbor continuity in E.
 
@@ -582,7 +675,7 @@ def band_structure(period: StructureDefinition, q_grid, e_range,
         scan = scan_and_refine(f, e_grid, tol=tol, param_name="energy")
         return [(r.value, r.residual) for r in scan.roots]
 
-    per_q = _parallel_map(roots_at, q_grid, threads)
+    per_q = [roots_at(q) for q in q_grid]
 
     bands: list[dict] = []
     open_bands: list[dict] = []
@@ -614,7 +707,7 @@ def band_structure(period: StructureDefinition, q_grid, e_range,
 
 
 def sh_wave_speeds(defn: StructureDefinition, omega: float, v_grid,
-                   tol: float = 1e-6, threads: int = 1) -> SecularScan:
+                   tol: float = 1e-6) -> SecularScan:
     """Guided SH-wave speeds of a piezoelectric stack at one frequency.
 
     For each trial speed v the media are bound at kappa_x = omega / v
@@ -638,9 +731,6 @@ def sh_wave_speeds(defn: StructureDefinition, omega: float, v_grid,
             "outgoing waves are not evanescent there", ModelingWarning,
             stacklevel=2)
 
-    def f(v: float) -> complex:
-        s = defn.bind(omega=omega, kappa_x=omega / v)
-        return complex(np.linalg.det(escape_secular(s, Variant.H)))
-
-    return scan_and_refine(f, v_grid, tol=tol, param_name="v_s",
-                           threads=threads)
+    return _escape_scan(defn, v_grid, Variant.H, tol, "v_s", False,
+                        lambda speeds: {"omega": omega,
+                                        "kappa_x": omega / speeds})

@@ -18,7 +18,9 @@ Complex matrix entries are nested arrays of ``[re, im]`` pairs; bare
 numbers are read as real. Units are documented per problem class, not
 enforced. ``quantum`` materials need an energy to become concrete media
 and ``sh_piezo`` materials need (omega, kappa_x); both are supplied at
-bind time so solvers can sweep them.
+bind time so solvers can sweep them, one point at a time
+(:meth:`StructureDefinition.bind`) or a whole array of points at once
+(:meth:`StructureDefinition.bind_stack`).
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureFileError
-from .media import (Layer, LayeredStructure, MslCoefficients, ShPiezoParams,
-                    make_quantum_medium, make_sh_piezo_medium)
+from .errors import PointFailures, StructuralError, StructureFileError
+from .media import (Layer, LayeredStructure, MediumStack, MslCoefficients,
+                    ShPiezoParams, StackedStructure, make_quantum_medium,
+                    make_sh_piezo_medium, quantum_coefficients,
+                    sh_piezo_coefficients)
 
 _KINDS = ("msl", "quantum", "sh_piezo")
 
@@ -91,6 +95,21 @@ class MaterialDef:
                                omega=omega, kappa_x=kappa_x)
         return make_sh_piezo_medium(params, label=self.name)
 
+    def bind_stack(self, energy: np.ndarray, omega: np.ndarray,
+                   kappa_x: np.ndarray) -> MediumStack:
+        """The medium at G points given as equally long 1-D arrays."""
+        if self.kind == "msl":
+            g = len(energy)
+            return MediumStack(*(np.repeat(self.fields[key][None], g, axis=0)
+                                 for key in ("b", "p", "y", "w")))
+        if self.kind == "quantum":
+            return quantum_coefficients(
+                self.fields["mass"], self.fields["potential"], energy,
+                self.fields["hbar2_over_2"])
+        return sh_piezo_coefficients(
+            self.fields["rho"], self.fields["c44"], self.fields["e15"],
+            self.fields["eps11"], omega, kappa_x)
+
 
 @dataclass(frozen=True)
 class StructureDefinition:
@@ -114,6 +133,39 @@ class StructureDefinition:
             left=media[self.left],
             layers=tuple(Layer(media[name], d) for name, d in self.layers),
             right=media[self.right])
+
+    def bind_stack(self, fails: PointFailures, energy=0.0, omega=1.0,
+                   kappa_x=1.0) -> StackedStructure:
+        """Bind every material at G points at once.
+
+        ``energy``, ``omega`` and ``kappa_x`` broadcast to one 1-D array
+        of G points; media are keyed by material name. A point whose
+        media :meth:`bind` would reject (non-finite coefficients) is
+        recorded in ``fails``; a material that cannot bind at all fails
+        every point and is left out.
+        """
+        points = [np.atleast_1d(np.asarray(v, dtype=float))
+                  for v in (energy, omega, kappa_x)]
+        g = max(len(v) for v in points)
+        energy, omega, kappa_x = (v if len(v) == g else np.full(g, v.item())
+                                  for v in points)
+        media = {}
+        for name, mat in self.materials.items():
+            try:
+                st = mat.bind_stack(energy, omega, kappa_x)
+            except StructuralError as exc:
+                fails.add(np.ones(g, dtype=bool),
+                          lambda i, exc=exc: exc)
+                continue
+            for key in ("b", "p", "y", "w"):
+                fails.add(~np.isfinite(getattr(st, key)).all(axis=(1, 2)),
+                          lambda i, key=key: StructuralError(
+                              f"{key} contains non-finite entries"))
+            media[name] = st
+        for st in media.values():
+            fails.patch(st.b, st.p, st.y, st.w)
+        return StackedStructure(media=media, left=self.left, right=self.right,
+                                layers=self.layers)
 
 
 def _parse_material(name: str, entry, where: str) -> MaterialDef:

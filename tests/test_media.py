@@ -143,3 +143,16 @@ def test_media_are_immutable():
     m = make_scalar_medium(1, 0, 0, -1)
     with pytest.raises(ValueError):
         m.b[0, 0] = 2.0
+
+
+def test_is_formally_hermitian_honours_rtol():
+    h = np.array([[2.0, 1.0 - 0.5j], [1.0 + 0.5j, -3.0]])
+    w = h.copy()
+    # an antihermitian part of 1e-10 relative size in w
+    w[0, 1] += 1e-10 * np.linalg.norm(h) / math.sqrt(2.0)
+    dev = np.linalg.norm(w - w.conj().T) / np.linalg.norm(w)
+    assert dev == pytest.approx(1e-10, rel=1e-3)
+    m = MslCoefficients(b=np.eye(2), p=np.zeros((2, 2)), y=np.zeros((2, 2)),
+                        w=w)
+    assert not m.is_formally_hermitian()
+    assert m.is_formally_hermitian(rtol=1e-8)

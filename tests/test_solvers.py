@@ -12,7 +12,10 @@ from mslwave import (Layer, LayeredStructure, ModelingError, ModelingWarning,
                      make_quantum_medium, parse_structure, periodic_dispersion,
                      scan_and_refine, sh_wave_speeds, solve_qep,
                      structure_propagator)
-from mslwave.errors import IllConditionedError
+from mslwave.errors import IllConditionedError, PointFailures
+from mslwave.media import MediumStack, StackedStructure
+from mslwave.solvers import SCAN_BLOCK, escape_secular_stack
+from conftest import random_hermitian_medium
 
 
 def quantum_defn(entries, left, right, layers):
@@ -47,6 +50,30 @@ def test_scan_simple_quadratic_root():
     assert scan.mode == "sign"
     assert len(scan.roots) == 1
     assert scan.roots[0].value == pytest.approx(math.sqrt(2.0), abs=1e-11)
+
+
+def test_scan_refiner_reuses_grid_values():
+    # each evaluation is a grid point, a bisection midpoint or the one
+    # accepting evaluation of the refined root; the bracket's left end
+    # comes from the grid
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return complex(x * x - 2.0)
+
+    grid = np.linspace(0.0, 2.0, 41)
+    scan = scan_and_refine(f, grid, tol=1e-12)
+    assert [r.value for r in scan.roots] == [1.4142135623729701]
+    (lo, hi), = scan.brackets
+    steps = 0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * mid - 2.0 < 0.0 else (lo, mid)
+        steps += 1
+    assert steps == 36
+    assert len(calls) == len(grid) + steps + 1
+    assert calls[-1] == scan.roots[0].value
 
 
 def test_scan_masks_error_points_and_skips_brackets():
@@ -428,3 +455,76 @@ def test_sh_scan_serialization_round_trip():
     assert len(doc["grid"]) == 300
     csv_text = scan.to_csv(variant="h")
     assert csv_text.splitlines()[1] == "v_s,root,residual,variant"
+
+
+# --- stacked evaluation against single points --------------------------------
+
+def single_point_dets(structures, variant, bound_state=False):
+    values, masked = [], []
+    for s in structures:
+        try:
+            ms = escape_secular(s, variant, bound_state=bound_state)
+            values.append(complex(np.linalg.det(ms)))
+            masked.append(False)
+        except MslError:
+            values.append(complex(np.nan))
+            masked.append(True)
+    return np.array(values), np.array(masked)
+
+
+def assert_same_points(values, masked, want_values, want_masked):
+    np.testing.assert_array_equal(masked, want_masked)
+    np.testing.assert_allclose(values[~masked], want_values[~masked],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("variant", [Variant.H, Variant.E])
+def test_stacked_escape_scan_matches_single_points(variant):
+    # the wall is at 10: points above it have propagating exteriors and
+    # are masked by the bound-state check, inside blocks of mixed status
+    grid = np.linspace(0.5, 14.0, 3 * SCAN_BLOCK + 3)
+    scan = escape_energy_scan(WELL_DEFN, grid, variant)
+    want = single_point_dets([WELL_DEFN.bind(energy=e) for e in grid],
+                             variant, bound_state=True)
+    assert_same_points(scan.values, scan.masked, *want)
+    blocks = scan.masked[:len(grid) // SCAN_BLOCK * SCAN_BLOCK].reshape(
+        -1, SCAN_BLOCK)
+    assert np.any(np.any(blocks, axis=1) & ~np.all(blocks, axis=1))
+
+
+def test_stacked_piezo_scan_matches_single_points():
+    defn = piezo_defn(["B", "A", "B"], 20e-6)
+    v_a, v_b = _bulk_speed(PZT_A), _bulk_speed(PZT_B)
+    omega = 2 * math.pi * 60e6
+    grid = np.linspace(v_b * 1.001, v_a * 0.999, 2 * SCAN_BLOCK + 5)
+    scan = sh_wave_speeds(defn, omega, grid)
+    want = single_point_dets([defn.bind(omega=omega, kappa_x=omega / v)
+                              for v in grid], Variant.H)
+    assert not np.any(want[1])
+    assert_same_points(scan.values, scan.masked, *want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_escape_secular_matches_single_points_random_media(rng, n):
+    # every point draws its own left, middle and right media; the layers
+    # are (middle, left) with thicknesses shared by all points
+    g = 2 * SCAN_BLOCK
+    d_mid, d_left = (float(d) for d in rng.uniform(0.2, 2.0, 2))
+    draws = [tuple(random_hermitian_medium(rng, n) for _ in range(3))
+             for _ in range(g)]
+    structures = [LayeredStructure(left=left,
+                                   layers=(Layer(mid, d_mid),
+                                           Layer(left, d_left)),
+                                   right=right)
+                  for left, mid, right in draws]
+    media = {key: MediumStack(*(np.stack([getattr(point[j], c)
+                                          for point in draws])
+                                for c in "bpyw"))
+             for j, key in enumerate(("left", "mid", "right"))}
+    st = StackedStructure(media=media, left="left", right="right",
+                          layers=(("mid", d_mid), ("left", d_left)))
+    for variant in (Variant.H, Variant.E):
+        fails = PointFailures(g)
+        values = np.linalg.det(escape_secular_stack(st, variant, fails))
+        assert_same_points(values, fails.failed,
+                           *single_point_dets(structures, variant))

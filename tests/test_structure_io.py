@@ -129,3 +129,11 @@ def test_complex_entries_round_trip():
     assert s.left.b[0, 1] == pytest.approx(0.5 - 0.25j)
     s2 = load_structure(serialize_structure(s))
     assert np.array_equal(s2.left.b, s.left.b)
+
+
+def test_cli_threads_flag_is_a_usage_error(capsys):
+    from mslwave import cli
+    argv = ["escape", "--structure", "unused.json", "--grid", "0.1:1:3",
+            "--threads", "2"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
