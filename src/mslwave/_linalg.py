@@ -7,6 +7,8 @@ provides it), which LAPACK does not cover.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SingularMatrixError
@@ -31,6 +33,7 @@ def unit_roundoff() -> float:
 
 
 UNIT_ROUNDOFF = unit_roundoff()
+_LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))
 
 
 def right_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,6 +78,23 @@ def scaled_cond_stack(a: np.ndarray) -> np.ndarray:
         cond = s[:, 0] / s[:, -1]
     cond[~ok] = np.inf
     return cond
+
+
+def det_drift(a: np.ndarray) -> float:
+    """Distance of det ``a`` from 1: max(|det - 1|, |1/det - 1|).
+
+    The determinant is taken from ``slogdet`` and formed as
+    sign * exp(log|det|), as ``np.linalg.det`` forms it, so a drift in
+    the double range is the one ``det`` gives, while a finite but huge
+    matrix no longer overflows (and warns) inside ``det``. The drift is
+    inf when det is 0 or when the drift itself exceeds the double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sign, logabs = np.linalg.slogdet(a)
+    if not np.isfinite(logabs) or abs(logabs) >= _LOG_DOUBLE_MAX:
+        return float("inf")
+    det = complex(sign) * math.exp(logabs)
+    return float(max(abs(det - 1.0), abs(1.0 / det - 1.0)))
 
 
 def smallest_singular_value(a: np.ndarray) -> float:

@@ -23,7 +23,8 @@ from . import __version__
 from .errors import MslError, StructureFileError, StructuralError
 from .media import validate_coefficients
 from .propagators import Variant
-from .solvers import band_structure, escape_energy_scan, sh_wave_speeds
+from .solvers import (band_scans, connect_bands, escape_energy_scan,
+                      sh_wave_speeds)
 from .structure_io import parse_structure
 from .verify import variant_comparison_report
 
@@ -138,33 +139,16 @@ def _cmd_bands(args) -> int:
     q_grid = _parse_grid(args.grid)
     e_range = _parse_range(args.range)
     variant = Variant(args.variant.upper())
-    bands = band_structure(defn, q_grid, e_range, variant, tol=args.tol)
-    rows = []
-    for band in bands:
-        for (q, e_val, res) in band.points:
-            rows.append((q, e_val, res, band.branch, "ok"))
-    masked_qs = _masked_band_points(defn, q_grid, e_range, variant, args)
-    for q in masked_qs:
-        rows.append((q, None, None, None, "overflow"))
+    scans = band_scans(defn, q_grid, e_range, variant, tol=args.tol)
+    rows = [(q, e_val, res, band.branch, "ok")
+            for band in connect_bands(q_grid, scans)
+            for (q, e_val, res) in band.points]
+    # a q whose scan masked a grid energy gets one overflow row
+    rows += [(float(q), None, None, None, "overflow")
+             for q, scan in zip(q_grid, scans) if scan.masked.any()]
     rows.sort(key=lambda r: (r[0], r[1] if r[1] is not None else np.inf))
     _emit(("q", "energy", "residual", "branch", "status"), rows, args)
     return EXIT_OK
-
-
-def _masked_band_points(defn, q_grid, e_range, variant, args) -> list[float]:
-    """q values whose energy scans hit masked (overflowed) points."""
-    from .solvers import periodic_dispersion, scan_and_refine
-
-    out = []
-    e_grid = np.linspace(e_range[0], e_range[1], 64)
-    for q in q_grid:
-        def f(energy: float) -> complex:
-            return periodic_dispersion(defn.bind(energy=energy), variant,
-                                       float(q))
-        scan = scan_and_refine(f, e_grid, tol=1e-6)
-        if bool(np.any(scan.masked)):
-            out.append(float(q))
-    return out
 
 
 def _cmd_escape(args) -> int:

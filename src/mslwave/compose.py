@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import smallest_singular_value, stacked_call
+from ._linalg import det_drift, smallest_singular_value, stacked_call
 from .errors import (IllConditionedError, MatrixOverflowError, PointFailures,
                      ResonanceError, StructuralError, VariantError)
 from .media import LayeredStructure, MslCoefficients
@@ -348,11 +348,8 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
                     omega_d=exc.omega_d, layer_index=idx) from None
         if len(layers) > 1 and all(
                 ly.medium.is_formally_hermitian() for ly in layers):
-            det = complex(np.linalg.det(acc.data))
-            drift = (float("inf") if det == 0
-                     else float(max(abs(det - 1.0), abs(1.0 / det - 1.0))))
             acc = BlockMatrix(variant=Variant.T, data=acc.data,
-                              det_drift=drift)
+                              det_drift=det_drift(acc.data))
         return acc, CompositionTrace(steps=tuple(steps))
 
     fails = PointFailures(1)

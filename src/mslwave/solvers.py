@@ -6,10 +6,13 @@ variants, the scalar Kronig-Penney specializations, a transcendental
 finite-well oracle, and the secular-scan machinery shared by all of
 them.
 
-The escape and SH-wave scans evaluate their secular determinant over
-blocks of SCAN_BLOCK parameter points at once through the stacked
-kernels; :func:`scan_and_refine` refines all brackets of a scan in
-lockstep, so refinement runs in blocks too.
+The escape and SH-wave scans, and the H and E band scans, evaluate
+their secular determinant over blocks of SCAN_BLOCK parameter points at
+once through the stacked kernels (:func:`escape_secular_stack`,
+:func:`periodic_dispersion_stack`); :func:`scan_and_refine` refines all
+brackets of a scan in lockstep, so refinement runs in blocks too. The
+T and S band scans and the Kronig-Penney residuals stay scalar: they
+are evaluated one point at a time inside each block.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from ._linalg import solve_checked
+from ._linalg import solve_checked, solve_stack
 from .compose import (compose_e, compose_h, compose_t, fold_stack,
                       structure_propagator)
 from .errors import (IllConditionedError, ModelingError, MslError,
@@ -311,6 +314,58 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
                        roots=tuple(roots), mode=mode)
 
 
+def _mode_source(st: StackedStructure, fails: PointFailures,
+                 modes: dict | None):
+    """``modes_of(key)``: the :class:`ModeStack` of medium ``key`` of
+    ``st``, taken from ``modes`` or solved once on first use."""
+    cache = dict(modes or {})
+
+    def modes_of(key):
+        if key not in cache:
+            cache[key] = solve_qep_stack(st.media[key], fails)
+        return cache[key]
+    return modes_of
+
+
+def _fold_region(st: StackedStructure, variant: Variant,
+                 fails: PointFailures, modes_of) -> np.ndarray | None:
+    """H or E data (G, 2N, 2N) of the layers of ``st``, as the H/E
+    branches of :func:`structure_propagator` fold them; None once every
+    point has failed."""
+    layers = [(key, d) for key, d in st.layers if d > 0.0]
+    if not layers and variant is Variant.E:
+        fails.add(np.ones(st.g, dtype=bool), lambda i: IllConditionedError(
+            "E matrix of a zero-thickness region is not computable"))
+    if fails.all_failed:
+        return None
+    if layers:
+        return fold_stack(layers, variant, modes_of, fails)[0]
+    return np.tile(antidiagonal_identity(st.n).data, (st.g, 1, 1))
+
+
+def _det_live(m: np.ndarray, fails: PointFailures) -> np.ndarray:
+    """det of every live matrix of a (G, n, n) stack; NaN at failed
+    points."""
+    values = np.full(len(m), np.nan, dtype=complex)
+    ok = ~fails.failed
+    values[ok] = np.linalg.det(m[ok])
+    return values
+
+
+def _bound_stacked(defn: StructureDefinition, bind, secular) -> _Stacked:
+    """Block evaluator of ``secular(st, fails)``, the (G,) secular values
+    of ``defn`` bound at a block's points by ``bind(points)``."""
+
+    def evaluate(xs):
+        fails = PointFailures(len(xs))
+        st = defn.bind_stack(fails, **bind(xs))
+        if fails.all_failed:
+            return np.full(len(xs), np.nan, dtype=complex), fails.failed
+        return secular(st, fails), fails.failed
+
+    return _Stacked(evaluate)
+
+
 def escape_secular_stack(st: StackedStructure, variant: Variant | str,
                          fails: PointFailures, modes: dict | None = None,
                          bound_state: bool = False) -> np.ndarray:
@@ -325,13 +380,7 @@ def escape_secular_stack(st: StackedStructure, variant: Variant | str,
     if variant not in (Variant.H, Variant.E):
         raise VariantError(f"escape problem supports H or E, got {variant}")
     g, n = st.g, st.n
-    cache = dict(modes or {})
-
-    def modes_of(key):
-        if key not in cache:
-            cache[key] = solve_qep_stack(st.media[key], fails)
-        return cache[key]
-
+    modes_of = _mode_source(st, fails, modes)
     left, right = modes_of(st.left), modes_of(st.right)
     if bound_state:
         fails.add(~(_decays(left.ks[:, n:]) & _decays(right.ks[:, :n])),
@@ -339,16 +388,9 @@ def escape_secular_stack(st: StackedStructure, variant: Variant | str,
                       "bound-state problem requires decaying outgoing modes "
                       "in both half-spaces (propagating mode found)"))
 
-    layers = [(key, d) for key, d in st.layers if d > 0.0]
-    if not layers and variant is Variant.E:
-        fails.add(np.ones(g, dtype=bool), lambda i: IllConditionedError(
-            "E matrix of a zero-thickness region is not computable"))
-    if fails.all_failed:
+    inner = _fold_region(st, variant, fails, modes_of)
+    if inner is None:
         return np.full((g, 2 * n, 2 * n), np.nan, dtype=complex)
-    if layers:
-        inner = fold_stack(layers, variant, modes_of, fails)[0]
-    else:
-        inner = antidiagonal_identity(n).data[None]
     h11, h12 = inner[:, :n, :n], inner[:, :n, n:]
     h21, h22 = inner[:, n:, :n], inner[:, n:, n:]
     # outgoing waves only: minus modes of L, plus modes of R
@@ -394,19 +436,12 @@ def _escape_scan(defn: StructureDefinition, grid, variant, tol: float,
                  param_name: str, bound_state: bool, bind) -> SecularScan:
     """Scan det Ms with ``defn`` bound by ``bind(points)`` per block."""
 
-    def evaluate(xs):
-        fails = PointFailures(len(xs))
-        st = defn.bind_stack(fails, **bind(xs))
-        values = np.full(len(xs), np.nan, dtype=complex)
-        if not fails.all_failed:
-            ms = escape_secular_stack(st, variant, fails,
-                                      bound_state=bound_state)
-            ok = ~fails.failed
-            values[ok] = np.linalg.det(ms[ok])
-        return values, fails.failed
+    def secular(st, fails):
+        return _det_live(escape_secular_stack(st, variant, fails,
+                                              bound_state=bound_state), fails)
 
-    return scan_and_refine(_Stacked(evaluate), grid, tol=tol,
-                           param_name=param_name)
+    return scan_and_refine(_bound_stacked(defn, bind, secular), grid,
+                           tol=tol, param_name=param_name)
 
 
 def escape_energy_scan(defn: StructureDefinition, e_grid,
@@ -418,39 +453,71 @@ def escape_energy_scan(defn: StructureDefinition, e_grid,
                         lambda energies: {"energy": energies})
 
 
-def periodic_dispersion(period: LayeredStructure, variant: Variant | str,
-                        q: float, bases: dict | None = None) -> complex:
-    """Secular residual of the Bloch condition F(z+d) = F(z) e^{iqd}.
+def periodic_dispersion_stack(st: StackedStructure, variant: Variant | str,
+                              q: float, fails: PointFailures,
+                              modes: dict | None = None) -> np.ndarray:
+    """Bloch secular residuals of G bound periods at one q, shape (G,).
 
-    Evaluates the determinant form of the chosen variant. The S form
-    expands the boundary values in the reduced bases of the media that
-    flank the period boundaries under periodic continuation (the last
-    layer's medium on the left, the first layer's on the right).
+    The stacked form of the H and E branches of
+    :func:`periodic_dispersion`: the period's H or E matrix is folded
+    for all points at once. ``modes`` maps media keys to known
+    :class:`ModeStack` objects; a point that fails anywhere (mode solve,
+    single layer, fold, the H11 solve) is recorded in ``fails`` and its
+    value is NaN.
     """
     variant = Variant(variant)
-    d = period.total_thickness
-    phase = cmath.exp(1j * q * d)
-    n = period.n
+    if variant not in (Variant.H, Variant.E):
+        raise VariantError(
+            f"stacked periodic dispersion supports H or E, got {variant}")
+    n = st.n
+    phase = cmath.exp(1j * q * float(sum(d for _, d in st.layers)))
+    inner = _fold_region(st, variant, fails, _mode_source(st, fails, modes))
+    if inner is None:
+        return np.full(st.g, np.nan, dtype=complex)
+    b11, b12 = inner[:, :n, :n], inner[:, :n, n:]
+    b21, b22 = inner[:, n:, :n], inner[:, n:, n:]
     eye = np.eye(n, dtype=complex)
-    cache = dict(bases or {})
-
-    if variant is Variant.T:
-        t, _ = structure_propagator(period, Variant.T, cache)
-        return complex(np.linalg.det(t.data - np.eye(2 * n) * phase))
-
     if variant is Variant.H:
         # Bloch conditions in the H relation give
         #   A(z) = [I - H21 e^{-iqd}]^{-1} H22 F(z) = H11^{-1} [I - H12 e^{iqd}] F(z);
         # multiplying through by [I - H21 e^{-iqd}] avoids its poles. For
         # N = 1 this reduces exactly to 2 cos(qd) H12 = 1 - H11 H22 + H12^2.
-        h, _ = structure_propagator(period, Variant.H, cache)
-        rhs = solve_checked(h.b11, eye - h.b12 * phase, "H11")
-        return complex(np.linalg.det(h.b22 - (eye - h.b21 / phase) @ rhs))
+        rhs = solve_stack(b11, eye - b12 * phase, fails, "H11")
+        secular = b22 - (eye - b21 / phase) @ rhs
+    else:
+        secular = (b11 + b12 * phase) - (b21 / phase + b22)
+    return _det_live(secular, fails)
 
-    if variant is Variant.E:
-        e, _ = structure_propagator(period, Variant.E, cache)
-        return complex(np.linalg.det(
-            (e.b11 + e.b12 * phase) - (e.b21 / phase + e.b22)))
+
+def periodic_dispersion(period: LayeredStructure, variant: Variant | str,
+                        q: float, bases: dict | None = None) -> complex:
+    """Secular residual of the Bloch condition F(z+d) = F(z) e^{iqd}.
+
+    Evaluates the determinant form of the chosen variant. The H and E
+    forms are the G = 1 case of :func:`periodic_dispersion_stack`;
+    failures raise. The T and S forms are evaluated here, one point at a
+    time. The S form expands the boundary values in the reduced bases
+    of the media that flank the period boundaries under periodic
+    continuation (the last layer's medium on the left, the first
+    layer's on the right).
+    """
+    variant = Variant(variant)
+    if variant in (Variant.H, Variant.E):
+        fails = PointFailures(1)
+        value = periodic_dispersion_stack(
+            StackedStructure.of(period), variant, q, fails,
+            {m: basis.stack for m, basis in (bases or {}).items()})
+        fails.raise_first()
+        return complex(value[0])
+
+    d = period.total_thickness
+    phase = cmath.exp(1j * q * d)
+    n = period.n
+    cache = dict(bases or {})
+
+    if variant is Variant.T:
+        t, _ = structure_propagator(period, Variant.T, cache)
+        return complex(np.linalg.det(t.data - np.eye(2 * n) * phase))
 
     if variant is not Variant.S:
         raise VariantError(f"periodic dispersion supports T/H/E/S, got {variant}")
@@ -650,11 +717,39 @@ def _predict_energy(points, q: float) -> float:
     return e1 + (e1 - e0) * (q - q1) / (q1 - q0)
 
 
-def band_structure(period: StructureDefinition, q_grid, e_range,
-                   variant: Variant | str = Variant.H,
-                   e_count: int = 600, tol: float = 1e-10) -> list[Band]:
-    """Roots of the periodic dispersion over a (q, E) window, connected
-    into branches by nearest-neighbor continuity in E.
+def band_scans(period: StructureDefinition, q_grid, e_range,
+               variant: Variant | str = Variant.H, e_count: int = 600,
+               tol: float = 1e-10) -> list[SecularScan]:
+    """The energy scan of the periodic dispersion at every q of
+    ``q_grid``, on ``e_count`` energies spanning ``e_range``.
+
+    H and E are evaluated in blocks of SCAN_BLOCK energies through
+    :func:`periodic_dispersion_stack`; T and S call
+    :func:`periodic_dispersion` one energy at a time. Each scan's
+    ``masked`` array marks the grid energies where the evaluation
+    failed.
+    """
+    variant = Variant(variant)
+    e_grid = np.linspace(float(e_range[0]), float(e_range[1]), e_count)
+
+    def scan_at(q: float) -> SecularScan:
+        if variant in (Variant.H, Variant.E):
+            func = _bound_stacked(
+                period, lambda energies: {"energy": energies},
+                lambda st, fails: periodic_dispersion_stack(st, variant, q,
+                                                            fails))
+        else:
+            def func(energy: float) -> complex:
+                return periodic_dispersion(period.bind(energy=energy),
+                                           variant, q)
+        return scan_and_refine(func, e_grid, tol=tol, param_name="energy")
+
+    return [scan_at(float(q)) for q in np.asarray(q_grid, dtype=float)]
+
+
+def connect_bands(q_grid, scans) -> list[Band]:
+    """Join the roots of per-q scans into branches by nearest-neighbor
+    continuity in E.
 
     Each open branch takes the unmatched root nearest its last E. A
     discontinuity marks a join that may be wrong: the q index at which
@@ -663,24 +758,11 @@ def band_structure(period: StructureDefinition, q_grid, e_range,
     the new q by linear extrapolation from its last two points, or as
     its last E when it has only one.
     """
-    variant = Variant(variant)
-    q_grid = np.asarray(q_grid, dtype=float)
-    e_lo, e_hi = float(e_range[0]), float(e_range[1])
-    e_grid = np.linspace(e_lo, e_hi, e_count)
-
-    def roots_at(q: float):
-        def f(energy: float) -> complex:
-            return periodic_dispersion(period.bind(energy=energy), variant, q)
-
-        scan = scan_and_refine(f, e_grid, tol=tol, param_name="energy")
-        return [(r.value, r.residual) for r in scan.roots]
-
-    per_q = [roots_at(q) for q in q_grid]
-
     bands: list[dict] = []
     open_bands: list[dict] = []
-    for iq, (q, found) in enumerate(zip(q_grid, per_q)):
-        unmatched = list(found)
+    for iq, (q, scan) in enumerate(zip(np.asarray(q_grid, dtype=float),
+                                       scans)):
+        unmatched = [(r.value, r.residual) for r in scan.roots]
         next_open: list[dict] = []
         predicted = [_predict_energy(band["points"], q) for band in open_bands]
         for band, own_pred in zip(open_bands, predicted):
@@ -704,6 +786,21 @@ def band_structure(period: StructureDefinition, q_grid, e_range,
     return [Band(branch=band["id"], points=tuple(band["points"]),
                  discontinuities=tuple(band["disc"]))
             for band in sorted(bands, key=lambda b: b["id"])]
+
+
+def band_structure(period: StructureDefinition, q_grid, e_range,
+                   variant: Variant | str = Variant.H,
+                   e_count: int = 600, tol: float = 1e-10) -> list[Band]:
+    """Roots of the periodic dispersion over a (q, E) window, connected
+    into branches by nearest-neighbor continuity in E.
+
+    The roots come from :func:`band_scans` (H and E stacked over blocks
+    of energies, T and S one energy at a time) and are joined by
+    :func:`connect_bands`, whose docstring gives the joining rule and
+    what a discontinuity flag marks.
+    """
+    return connect_bands(q_grid, band_scans(period, q_grid, e_range, variant,
+                                            e_count, tol))
 
 
 def sh_wave_speeds(defn: StructureDefinition, omega: float, v_grid,

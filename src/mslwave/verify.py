@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._linalg import UNIT_ROUNDOFF, solve_checked
+from ._linalg import UNIT_ROUNDOFF, det_drift, solve_checked
 from .errors import MatrixOverflowError, MslError
 from .media import LayeredStructure, MslCoefficients
 from .propagators import (BlockMatrix, Variant, gamma_blocks, t_single)
@@ -218,11 +218,7 @@ def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
             t_total, _ = structure_propagator(scaled, Variant.T, bases)
             drift = t_total.det_drift
             if drift is None:
-                det = complex(np.linalg.det(t_total.data))
-                if det == 0:
-                    drift = float("inf")
-                else:
-                    drift = float(max(abs(det - 1.0), abs(1.0 / det - 1.0)))
+                drift = det_drift(t_total.data)
             row += ["ok", drift]
         except MslError as exc:
             row += [type(exc).__name__, None]

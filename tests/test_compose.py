@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from mslwave import (BlockMatrix, Layer, LayeredStructure,
                      MatrixOverflowError, Variant, antidiagonal_identity,
                      compose_e, compose_h, compose_t, e_from_t,
                      e_single_stable, h_single_stable, k_matrix,
-                     make_scalar_medium, q_matrix, s_from_k, s_identity,
-                     solve_qep, star_product, structure_propagator, t_single)
+                     make_quantum_medium, make_scalar_medium, q_matrix,
+                     s_from_k, s_identity, solve_qep, star_product,
+                     structure_propagator, t_single,
+                     variant_comparison_report)
 from mslwave.compose import _compose_e_traced
 from conftest import random_partitionable_medium
 
@@ -210,6 +213,30 @@ def test_stability_contrast_large_total_omega_d():
         assert drift > 1e3
     except MatrixOverflowError:
         pass
+
+
+def test_t_det_drift_of_huge_products_raises_no_warning():
+    # the stack above, and a 40-layer well/barrier stack whose T product
+    # stays finite while its determinant leaves the double range: the
+    # drift comes from slogdet, so no floating-point warning escapes and
+    # a drift past the double range reads inf
+    evanescent = _sandwich(EVANESCENT, [Layer(EVANESCENT, 2.0)] * 40)
+    well = make_quantum_medium(1.0, 0.0, 2.0)
+    barrier = make_quantum_medium(1.0, 10.0, 2.0)
+    wells = _sandwich(barrier, [Layer(well if i % 2 == 0 else barrier, 1.0)
+                                for i in range(40)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        t_fold, _ = structure_propagator(evanescent, Variant.T)
+        reports = [variant_comparison_report(s, [1.0, 4.0, 8.0, 8.8])
+                   for s in (evanescent, wells)]
+    assert t_fold.det_drift > 1e3
+    for report in reports:
+        assert [row[2] for row in report.rows] == ["ok"] * 4
+        drifts = [row[3] for row in report.rows]
+        assert all(d > 1e3 for d in drifts)
+    drifts = [row[3] for row in reports[1].rows]
+    assert np.isfinite(drifts[:2]).all() and np.isinf(drifts[2:]).all()
 
 
 def test_t_fold_overflow_names_layer():

@@ -14,7 +14,8 @@ from mslwave import (Layer, LayeredStructure, ModelingError, ModelingWarning,
                      structure_propagator)
 from mslwave.errors import IllConditionedError, PointFailures
 from mslwave.media import MediumStack, StackedStructure
-from mslwave.solvers import SCAN_BLOCK, escape_secular_stack
+from mslwave.solvers import (SCAN_BLOCK, escape_secular_stack,
+                             periodic_dispersion_stack)
 from conftest import random_hermitian_medium
 
 
@@ -528,3 +529,78 @@ def test_stacked_escape_secular_matches_single_points_random_media(rng, n):
         values = np.linalg.det(escape_secular_stack(st, variant, fails))
         assert_same_points(values, fails.failed,
                            *single_point_dets(structures, variant))
+
+
+def single_point_dispersion(periods, variant, q):
+    values, errors = [], {}
+    for i, s in enumerate(periods):
+        try:
+            values.append(periodic_dispersion(s, variant, q))
+        except MslError as exc:
+            values.append(complex(np.nan))
+            errors[i] = exc
+    return np.array(values), errors
+
+
+def assert_same_dispersion(st, periods, variant, q):
+    fails = PointFailures(len(periods))
+    values = periodic_dispersion_stack(st, variant, q, fails)
+    want, errors = single_point_dispersion(periods, variant, q)
+    assert_same_points(values, fails.failed, want, np.isin(
+        np.arange(len(periods)), list(errors)))
+    assert np.all(np.isnan(values[fails.failed]))
+    for i, exc in errors.items():
+        assert type(fails.errors[i]) is type(exc)
+        assert str(fails.errors[i]) == str(exc)
+    return fails
+
+
+KP_DEFN = quantum_defn({"a": (1.0, 0.0), "b": (1.3, 10.0)}, "b", "a",
+                       [("a", 1.1), ("b", 0.9)])
+
+
+@pytest.mark.parametrize("variant", [Variant.H, Variant.E])
+def test_periodic_dispersion_stack_matches_single_points_kp(variant):
+    energies = np.linspace(0.05, 18.0, 2 * SCAN_BLOCK + 5)
+    for q in (0.0, 0.7, math.pi / 2.0):
+        fails = PointFailures(len(energies))
+        st = KP_DEFN.bind_stack(fails, energy=energies)
+        assert not fails.failed.any()
+        periods = [KP_DEFN.bind(energy=e) for e in energies]
+        assert not assert_same_dispersion(st, periods, variant,
+                                          q).failed.any()
+
+
+def random_periods(rng, n, g, **kwargs):
+    """G two-layer periods [a, b] of random hermitian media, as single
+    structures and as one stack; the thicknesses are shared."""
+    d_a, d_b = (float(d) for d in rng.uniform(0.2, 2.0, 2))
+    draws = [tuple(random_hermitian_medium(rng, n, **kwargs)
+                   for _ in range(2)) for _ in range(g)]
+    periods = [LayeredStructure(left=b, layers=(Layer(a, d_a), Layer(b, d_b)),
+                                right=a) for a, b in draws]
+    media = {key: MediumStack(*(np.stack([getattr(point[j], c)
+                                          for point in draws])
+                                for c in "bpyw"))
+             for j, key in enumerate("ab")}
+    st = StackedStructure(media=media, left="b", right="a",
+                          layers=(("a", d_a), ("b", d_b)))
+    return st, periods
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_periodic_dispersion_stack_matches_single_points_random_media(rng, n):
+    st, periods = random_periods(rng, n, 2 * SCAN_BLOCK)
+    for variant in (Variant.H, Variant.E):
+        assert_same_dispersion(st, periods, variant, 0.8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_periodic_dispersion_stack_mixed_block_keeps_typed_errors(rng, n):
+    # a strong drift term gives media whose modes do not split N/N, so
+    # the block mixes failed and live points; a failed point carries the
+    # error the single-point call raises
+    st, periods = random_periods(rng, n, 2 * SCAN_BLOCK, p_scale=2.0)
+    for variant in (Variant.H, Variant.E):
+        fails = assert_same_dispersion(st, periods, variant, 1.3)
+        assert fails.failed.any() and not fails.failed.all()
