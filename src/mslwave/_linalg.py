@@ -43,10 +43,22 @@ def right_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def cond_estimate(a: np.ndarray) -> float:
     """2-norm condition number (exact SVD; matrices here are tiny)."""
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+    return float(cond_stack(np.asarray(a)[None])[0])
+
+
+def cond_stack(a: np.ndarray) -> np.ndarray:
+    """:func:`cond_estimate` of each matrix of a (G, n, n) stack; a
+    singular matrix gives inf."""
+    return sv_ratio(np.linalg.svd(a, compute_uv=False))
+
+
+def sv_ratio(s: np.ndarray) -> np.ndarray:
+    """Largest over smallest of each row of (G, n) descending singular
+    values; inf where the smallest is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = s[:, 0] / s[:, -1]
+    ratio[s[:, -1] == 0.0] = np.inf
+    return ratio
 
 
 def scaled_cond(a: np.ndarray) -> float:

@@ -6,10 +6,12 @@ regular for arbitrarily thick stacks (H, S) or arbitrarily thick but not
 arbitrarily thin ones (E). Each fold records a per-step conditioning
 trace so the regularity claim is checkable rather than assumed.
 
-The H and E rules and folds also run stacked over G parameter points
-(:func:`compose_h_stack`, :func:`compose_e_stack`, :func:`fold_stack`),
-recording failures per point; the single-matrix functions are their
-G = 1 case.
+All four folds run stacked over G parameter points (:func:`fold_stack`,
+with the H, E and S rules :func:`compose_h_stack`,
+:func:`compose_e_stack` and :func:`star_stack`), recording failures per
+point. Each point may carry its own thicknesses, so one fold covers a
+thickness sweep. :func:`structure_propagator`, :func:`compose_h`,
+:func:`compose_e` and :func:`star_product` are their G = 1 case.
 """
 
 from __future__ import annotations
@@ -18,14 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import det_drift, smallest_singular_value, stacked_call
-from .errors import (IllConditionedError, MatrixOverflowError, PointFailures,
-                     ResonanceError, StructuralError, VariantError)
+from ._linalg import (cond_stack, det_drift, smallest_singular_value,
+                      stacked_call)
+from .errors import (IllConditionedError, MatrixOverflowError, MslError,
+                     PointFailures, ResonanceError, StructuralError,
+                     VariantError)
 from .media import LayeredStructure, MslCoefficients
-from .propagators import (BlockMatrix, Variant, antidiagonal_identity,
-                          from_blocks, k_matrix, q_matrix, s_from_k,
-                          single_stack, t_single)
-from .qep import ModeBasis, solve_qep
+from .propagators import (BlockMatrix, Variant, _det_drift_extended,
+                          _per_point, antidiagonal_identity, k_matrix,
+                          mode_matrix, q_matrix, s_from_k, single_stack,
+                          t_single_stack)
+from .qep import ModeBasis, ModeStack, solve_qep
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,6 @@ class CompositionTrace:
         return max((s.conditioning for s in self.steps), default=1.0)
 
 
-def _step(index: int, factor: np.ndarray) -> CompositionStep:
-    return CompositionStep(index=index,
-                           factor_norm=float(np.linalg.norm(factor, 2)),
-                           factor_sigma_min=smallest_singular_value(factor))
-
-
 def compose_t(t2: BlockMatrix, t1: BlockMatrix) -> BlockMatrix:
     """T across two adjacent regions: plain product t2 . t1 (t1 leftmost)."""
     if t2.variant is not Variant.T or t1.variant is not Variant.T:
@@ -73,16 +72,6 @@ def compose_t(t2: BlockMatrix, t1: BlockMatrix) -> BlockMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         data = t2.data @ t1.data
     return BlockMatrix(variant=Variant.T, data=data)
-
-
-def _inner_solve(factor: np.ndarray, rhs: np.ndarray, rule: str) -> np.ndarray:
-    try:
-        return np.linalg.solve(factor, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ResonanceError(
-            f"singular inner factor in the {rule} composition rule "
-            f"(sigma_min = {smallest_singular_value(factor):.3e})",
-            sigma_min=smallest_singular_value(factor)) from exc
 
 
 def _inner_solve_stack(factor: np.ndarray, rhs: np.ndarray, rule: str,
@@ -203,28 +192,26 @@ def compose_e(e_m: BlockMatrix, e_rest: BlockMatrix) -> BlockMatrix:
     return _compose_e_traced(e_m, e_rest, 0)[0]
 
 
-def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
+def star_stack(y: np.ndarray, x: np.ndarray, fails: PointFailures,
                trace: bool = False):
-    """Fold single-layer H or E matrices of G points, right to left.
-
-    ``layers`` lists (key, thickness) with every thickness > 0 and at
-    least one layer; ``modes_of(key)`` gives that medium's
-    :class:`ModeStack`. Returns the (G, 2N, 2N) data, the conditioning
-    of the single layer when there is only one (else None), and, with
-    ``trace``, the singular values of every step's inner factor. The
-    fold stops early once every point has failed.
-    """
-    compose = compose_h_stack if variant is Variant.H else compose_e_stack
-    key, d = layers[-1]
-    acc, cond = single_stack(variant, modes_of(key), d, fails)
-    steps = []
-    for key, d in layers[-2::-1]:
-        if fails.all_failed:
-            break
-        m_single, _ = single_stack(variant, modes_of(key), d, fails)
-        acc, sv = compose(m_single, acc, fails, trace)
-        steps.append(sv)
-    return acc, (cond if len(layers) == 1 else None), steps
+    """Stacked :func:`star_product` Z = Y (*) X over (G, 2N, 2N) arrays
+    (X nearer the left end); see :func:`compose_h_stack`. The inner
+    factor is G = I - X22 Y11; a point where it is singular fails with
+    :class:`ResonanceError`."""
+    n = x.shape[-1] // 2
+    x11, x12, x21, x22 = x[:, :n, :n], x[:, :n, n:], x[:, n:, :n], x[:, n:, n:]
+    y11, y12, y21, y22 = y[:, :n, :n], y[:, :n, n:], y[:, n:, :n], y[:, n:, n:]
+    g = np.eye(n, dtype=complex) - x22 @ y11
+    sv = np.linalg.svd(g, compute_uv=False) if trace else None
+    ginv_x21 = _inner_solve_stack(g, x21, "S", fails)
+    fails.patch(g)
+    ginv_x22 = _inner_solve_stack(g, x22, "S", fails)
+    data = _assemble(Variant.S,
+                     x11 + x12 @ y11 @ ginv_x21,
+                     x12 @ y12 + x12 @ y11 @ ginv_x22 @ y12,
+                     y21 @ ginv_x21,
+                     y22 + y21 @ ginv_x22 @ y12, fails)
+    return data, sv
 
 
 def star_product(y: BlockMatrix, x: BlockMatrix) -> BlockMatrix:
@@ -232,25 +219,12 @@ def star_product(y: BlockMatrix, x: BlockMatrix) -> BlockMatrix:
 
     Identity element: [[0, I], [I, 0]].
     """
-    m, step = _star_traced(y, x, 0)
-    return m
-
-
-def _star_traced(y: BlockMatrix, x: BlockMatrix,
-                 index: int) -> tuple[BlockMatrix, CompositionStep]:
     if y.variant is not Variant.S or x.variant is not Variant.S:
         raise VariantError("star_product needs two S matrices")
-    n = x.n
-    eye = np.eye(n, dtype=complex)
-    g = eye - x.b22 @ y.b11
-    step = _step(index, g)
-    ginv_x21 = _inner_solve(g, x.b21, "S")
-    ginv_x22 = _inner_solve(g, x.b22, "S")
-    z11 = x.b11 + x.b12 @ y.b11 @ ginv_x21
-    z12 = x.b12 @ y.b12 + x.b12 @ y.b11 @ ginv_x22 @ y.b12
-    z21 = y.b21 @ ginv_x21
-    z22 = y.b22 + y.b21 @ ginv_x22 @ y.b12
-    return from_blocks(Variant.S, z11, z12, z21, z22), step
+    fails = PointFailures(1)
+    data, _ = star_stack(y.data[None], x.data[None], fails)
+    fails.raise_first()
+    return BlockMatrix(variant=Variant.S, data=data[0])
 
 
 def s_identity(n: int) -> BlockMatrix:
@@ -270,6 +244,21 @@ def t_identity(n: int) -> BlockMatrix:
     return BlockMatrix(variant=Variant.T, data=np.eye(2 * n, dtype=complex))
 
 
+def propagation_stack(modes: ModeStack, d) -> np.ndarray:
+    """Stacked :func:`propagation_scattering`, (G, 2N, 2N); ``d`` and
+    ``modes`` as in :func:`single_stack`."""
+    n = modes.n
+    ks = modes.ks
+    d = _per_point(d)
+    plus = np.exp(1j * ks[:, :n] * d)
+    minus = np.exp(-1j * ks[:, n:] * d)
+    data = np.zeros(plus.shape[:1] + (2 * n, 2 * n), dtype=complex)
+    diag = np.arange(n)
+    data[:, diag, n + diag] = minus
+    data[:, n + diag, diag] = plus
+    return data
+
+
 def propagation_scattering(basis: ModeBasis, d: float) -> BlockMatrix:
     """S matrix of propagation across one layer in its own mode basis.
 
@@ -277,12 +266,117 @@ def propagation_scattering(basis: ModeBasis, d: float) -> BlockMatrix:
     exp(i k d) and minus ones by exp(-i k d); in scattering arrangement
     both diagonals carry only decaying exponentials.
     """
-    k_p = np.array([md.k for md in basis.plus])
-    k_m = np.array([md.k for md in basis.minus])
-    z = np.zeros((basis.n, basis.n), dtype=complex)
-    return from_blocks(Variant.S,
-                       z, np.diag(np.exp(-1j * k_m * d)),
-                       np.diag(np.exp(1j * k_p * d)), z)
+    return BlockMatrix(variant=Variant.S,
+                       data=propagation_stack(basis.stack, d)[0])
+
+
+def _fold_t(layers, modes_of, fails: PointFailures, trace: bool):
+    """T fold of :func:`fold_stack`: the plain product, with the running
+    product's singular values as the trace. A point fails at the layer
+    whose single matrix or product step leaves the double range."""
+    last = len(layers) - 1
+    acc = t_single_stack(modes_of(layers[last][0]), layers[last][1], fails,
+                         layer_index=last)
+    steps = []
+    for idx in range(last - 1, -1, -1):
+        if fails.all_failed:
+            break
+        key, d = layers[idx]
+        t_m = t_single_stack(modes_of(key), d, fails, layer_index=idx)
+        # an overflowing product becomes the typed error below
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = acc @ t_m
+        fails.add(~np.isfinite(acc).all(axis=(1, 2)), lambda i:
+                  MatrixOverflowError(f"T overflow at layer {idx}: T matrix "
+                                      "contains non-finite entries",
+                                      layer_index=idx))
+        fails.patch(acc)
+        if trace and not fails.all_failed:
+            steps.append(np.linalg.svd(acc, compute_uv=False))
+    cond = None
+    if len(layers) == 1:
+        cond = np.broadcast_to(cond_stack(mode_matrix(modes_of(layers[0][0]))),
+                               fails.failed.shape)
+    return acc, cond, steps
+
+
+def _fold_s(layers, ends, modes_of, fails: PointFailures, trace: bool):
+    """S fold of :func:`fold_stack`: propagation and interface factors
+    alternate from the right half-space toward the left. An interface
+    does not depend on the points, so each adjacent pair of media is
+    computed once and broadcast; its failure fails every point."""
+    media = [ends[0]] + [key for key, _ in layers] + [ends[1]]
+    shape = (len(fails.failed), 2 * ends[0].n, 2 * ends[0].n)
+    cache = {}
+
+    def interface(i: int) -> np.ndarray:
+        pair = media[i], media[i + 1]
+        if pair not in cache:
+            try:
+                stacks = [modes_of(m) for m in pair]
+                if any(len(st.ks) != 1 for st in stacks):
+                    raise StructuralError(
+                        "S folds need one-point mode stacks")
+                data = interface_scattering(
+                    *(st.basis(0, m) for st, m in zip(stacks, pair))).data
+            except MslError as exc:
+                fails.add(np.ones(shape[0], dtype=bool), lambda j: exc)
+                data = antidiagonal_identity(shape[1] // 2).data
+            cache[pair] = np.broadcast_to(data, shape)
+        return cache[pair]
+
+    acc, steps = interface(len(layers)), []
+    for idx in range(len(layers) - 1, -1, -1):
+        if fails.all_failed:
+            break
+        key, d = layers[idx]
+        acc, sv = star_stack(acc, propagation_stack(modes_of(key), d), fails,
+                             trace)
+        steps.append(sv)
+        if fails.all_failed:
+            break
+        acc, sv = star_stack(acc, interface(idx), fails, trace)
+        steps.append(sv)
+    return acc, None, steps
+
+
+def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
+               trace: bool = False, ends=None):
+    """Fold the single-layer matrices of G points under one variant's
+    rule, right to left.
+
+    ``layers`` lists (key, d) with at least one layer; each d is either
+    one thickness > 0 shared by all points or a (G,) array of per-point
+    thicknesses > 0. ``modes_of(key)`` gives that medium's
+    :class:`ModeStack`, of G points or of one point shared by all. T
+    composes by the plain product, H and E by their inner-factor rules,
+    and S alternates propagation and interface factors between the
+    half-spaces ``ends`` = (left key, right key). S needs
+    point-independent media: its keys are the media themselves, each
+    with a one-point :class:`ModeStack`.
+
+    Returns the (G, 2N, 2N) data; the conditioning of the single layer
+    when there is only one (T: the 2-norm condition of Q0; H and E: that
+    of the inverted factor; else None); and, with ``trace``, the
+    singular values at every step of the inner factor (H, E, S) or of
+    the running product (T). The fold stops early once every point has
+    failed.
+    """
+    if variant is Variant.T:
+        return _fold_t(layers, modes_of, fails, trace)
+    if variant is Variant.S:
+        return _fold_s(layers, ends, modes_of, fails, trace)
+    compose = compose_h_stack if variant is Variant.H else compose_e_stack
+    key, d = layers[-1]
+    acc, cond = single_stack(variant, modes_of(key), d, fails)
+    steps = []
+    for key, d in layers[-2::-1]:
+        if fails.all_failed:
+            break
+        m_single, _ = single_stack(variant, modes_of(key), d, fails)
+        acc, sv = compose(m_single, acc, fails, trace)
+        steps.append(sv)
+    return acc, (cond if len(layers) == 1 else None), steps
 
 
 def structure_propagator(s: LayeredStructure, variant: Variant | str,
@@ -290,11 +384,15 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
                          ) -> tuple[BlockMatrix, CompositionTrace]:
     """Fold the per-layer matrices of region M under one variant's rule.
 
-    The fold runs from the rightmost layer toward the left, matching the
+    The G = 1 case of :func:`fold_stack`, whose failures it raises. The
+    fold runs from the rightmost layer toward the left, matching the
     recursion the composition rules are written in. Layers of zero
     thickness are skipped (they are exact neutral elements). For the S
     variant the half-space media provide the end-domain reduced bases
-    and the fold alternates interface and propagation factors.
+    and the fold alternates interface and propagation factors. A T
+    fold of formally hermitian media carries its unimodularity drift:
+    the extended-precision one of :func:`t_single` for a single layer,
+    else the ``slogdet`` one of the product.
     """
     variant = Variant(variant)
     if variant not in (Variant.T, Variant.H, Variant.E, Variant.S):
@@ -306,58 +404,31 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
             cache[m] = solve_qep(m)
         return cache[m]
 
-    layers = [ly for ly in s.layers if ly.thickness > 0.0]
+    layers = [(ly.medium, ly.thickness) for ly in s.layers
+              if ly.thickness > 0.0]
     n = s.n
-    steps: list[CompositionStep] = []
-
-    if variant is Variant.S:
-        media = [s.left] + [ly.medium for ly in layers] + [s.right]
-        acc = interface_scattering(basis_of(media[-2]), basis_of(s.right))
-        for idx in range(len(layers) - 1, -1, -1):
-            ly = layers[idx]
-            acc, step = _star_traced(acc, propagation_scattering(
-                basis_of(ly.medium), ly.thickness), len(steps))
-            steps.append(step)
-            acc, step = _star_traced(acc, interface_scattering(
-                basis_of(media[idx]), basis_of(ly.medium)), len(steps))
-            steps.append(step)
-        return acc, CompositionTrace(steps=tuple(steps))
-
     if not layers:
         if variant is Variant.T:
             return t_identity(n), CompositionTrace()
         if variant is Variant.H:
             return antidiagonal_identity(n), CompositionTrace()
+        if variant is Variant.S:
+            return (interface_scattering(basis_of(s.left), basis_of(s.right)),
+                    CompositionTrace())
         raise IllConditionedError(
             "E matrix of a zero-thickness region is not computable")
 
-    if variant is Variant.T:
-        acc = None
-        for idx in range(len(layers) - 1, -1, -1):
-            ly = layers[idx]
-            try:
-                t_m = t_single(ly.medium, ly.thickness, basis_of(ly.medium))
-                if acc is None:
-                    acc = t_m
-                else:
-                    acc = compose_t(acc, t_m)
-                    steps.append(_step(len(steps), acc.data))
-            except MatrixOverflowError as exc:
-                raise MatrixOverflowError(
-                    f"T overflow at layer {idx}: {exc}",
-                    omega_d=exc.omega_d, layer_index=idx) from None
-        if len(layers) > 1 and all(
-                ly.medium.is_formally_hermitian() for ly in layers):
-            acc = BlockMatrix(variant=Variant.T, data=acc.data,
-                              det_drift=det_drift(acc.data))
-        return acc, CompositionTrace(steps=tuple(steps))
-
     fails = PointFailures(1)
-    data, cond, svs = fold_stack([(ly.medium, ly.thickness) for ly in layers],
-                                 variant,
-                                 lambda m: basis_of(m).stack, fails, trace=True)
+    data, cond, svs = fold_stack(layers, variant, lambda m: basis_of(m).stack,
+                                 fails, trace=True, ends=(s.left, s.right))
     fails.raise_first()
+    drift = None
+    if variant is Variant.T and all(
+            m.is_formally_hermitian() for m in {m for m, _ in layers}):
+        m, d = layers[0]
+        drift = (_det_drift_extended(basis_of(m), d) if len(layers) == 1
+                 else det_drift(data[0]))
     steps = [_step_of(i, sv[0]) for i, sv in enumerate(svs)]
-    return (BlockMatrix(variant=variant, data=data[0],
+    return (BlockMatrix(variant=variant, data=data[0], det_drift=drift,
                         conditioning=None if cond is None else float(cond[0])),
             CompositionTrace(steps=tuple(steps)))

@@ -26,7 +26,8 @@ import numpy as np
 
 from ._linalg import (EXTENDED_COMPLEX, cond_estimate, det_pivoted,
                       inv_pivoted, right_solve_checked, right_solve_stack,
-                      scaled_cond, scaled_cond_stack, solve_checked)
+                      scaled_cond, scaled_cond_stack, solve_checked,
+                      stacked_call)
 from .errors import (DegenerateModeError, IllConditionedError,
                      MatrixOverflowError, PointFailures, SingularMatrixError,
                      VariantError)
@@ -130,12 +131,12 @@ def _basis_for(m: MslCoefficients, basis: ModeBasis | None) -> ModeBasis:
     return basis if basis is not None else solve_qep(m)
 
 
-def _check_overflow(basis: ModeBasis, d: float, layer_index: int | None = None):
+def _check_overflow(basis: ModeBasis, d: float):
     omega_d = basis.max_abs_im_k() * d
     if omega_d > _EXP_OVERFLOW:
         raise MatrixOverflowError(
             f"exp(|Im k| d) with |Im k| d = {omega_d:.3g} exceeds the "
-            "representable range", omega_d=omega_d, layer_index=layer_index)
+            "representable range", omega_d=omega_d)
 
 
 def q_matrix(basis: ModeBasis, z: float = 0.0,
@@ -200,11 +201,66 @@ def _det_drift_extended(basis: ModeBasis, d: float) -> float:
     return float(drift)
 
 
+def mode_matrix(modes: ModeStack) -> np.ndarray:
+    """Q0 of every point: the reduced mode columns (f0_j; a0_j), (G, 2N, 2N)."""
+    return np.concatenate([modes.f0, modes.a0], axis=1)
+
+
+def _per_point(d):
+    """A thickness, or a (G,) array of them as a (G, 1) column that
+    broadcasts against (G, 2N) wavenumbers."""
+    return d[:, None] if getattr(d, "ndim", 0) else d
+
+
+def t_single_stack(modes: ModeStack, d, fails: PointFailures,
+                   layer_index: int | None = None) -> np.ndarray:
+    """Stacked :func:`t_single`: the (G, 2N, 2N) data of
+    Q0 diag(exp(i k_j d)) Q0^{-1} at every point.
+
+    ``d`` is one thickness or a (G,) array of per-point thicknesses, and
+    ``modes`` has G points or one point shared by all. A point fails with
+    :class:`MatrixOverflowError`, carrying omega_d = max_j |Im k_j| d,
+    when exp(omega_d) leaves the double range or when
+    Q0 diag(exp(i k d)) or the result is not finite, and with
+    :class:`DegenerateModeError` when Q0 is singular. With a
+    ``layer_index`` the overflow errors name that layer of a fold.
+    """
+    prefix = "" if layer_index is None else f"T overflow at layer {layer_index}: "
+    omega_d = np.broadcast_to(np.max(np.abs(modes.ks.imag), axis=1) * d,
+                              fails.failed.shape)
+
+    def overflow(message: str):
+        return lambda i: MatrixOverflowError(
+            prefix + message.format(float(omega_d[i])),
+            omega_d=float(omega_d[i]), layer_index=layer_index)
+
+    fails.add(omega_d > _EXP_OVERFLOW, overflow(
+        "exp(|Im k| d) with |Im k| d = {:.3g} exceeds the representable range"))
+    q0 = np.broadcast_to(mode_matrix(modes), fails.failed.shape
+                         + (2 * modes.n, 2 * modes.n))
+    # exp(|Im k| d) just inside the double range still overflows once it
+    # multiplies a mode entry larger than 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = q0 * np.exp(1j * modes.ks * _per_point(d))[:, None, :]
+    non_finite = overflow("T matrix contains non-finite entries")
+    fails.add(~np.isfinite(num).all(axis=(1, 2)), non_finite)
+    fails.patch(num)
+    data = np.swapaxes(stacked_call(
+        np.linalg.solve, fails, lambda i, exc: DegenerateModeError(
+            "mode matrix is singular (defective basis): "
+            "mode matrix Q0 is singular"),
+        np.swapaxes(q0, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)
+    fails.add(~np.isfinite(data).all(axis=(1, 2)), non_finite)
+    fails.patch(data)
+    return data
+
+
 def t_single(m: MslCoefficients, d: float,
              basis: ModeBasis | None = None) -> BlockMatrix:
     """Associated transfer matrix of one homogeneous layer.
 
-    T(d) = Q0 diag(exp(i k_j d)) Q0^{-1} over the mode basis. For
+    T(d) = Q0 diag(exp(i k_j d)) Q0^{-1} over the mode basis; the G = 1
+    case of :func:`t_single_stack`, whose failures it raises. For
     formally hermitian media the unimodularity drift diagnostic is
     attached (see ``_det_drift_extended``); it is reported, never
     asserted, since its breakdown is exactly the phenomenon the stable
@@ -213,22 +269,14 @@ def t_single(m: MslCoefficients, d: float,
     if d < 0:
         raise ValueError("thickness must be >= 0")
     basis = _basis_for(m, basis)
-    _check_overflow(basis, d)
-    n = basis.n
-    ks = basis.ks
-    q0 = np.vstack([np.column_stack([md.f0 for md in basis.modes]),
-                    np.column_stack([md.a0 for md in basis.modes])])
-    diag = np.exp(1j * ks * d)
-    try:
-        data = right_solve_checked(q0, q0 * diag[None, :], "mode matrix Q0")
-    except SingularMatrixError as exc:
-        raise DegenerateModeError(
-            f"mode matrix is singular (defective basis): {exc}") from exc
+    fails = PointFailures(1)
+    data = t_single_stack(basis.stack, d, fails)
+    fails.raise_first()
     drift = None
     if m.is_formally_hermitian():
         drift = _det_drift_extended(basis, d)
-    return BlockMatrix(variant=Variant.T, data=data, det_drift=drift,
-                       conditioning=cond_estimate(q0))
+    return BlockMatrix(variant=Variant.T, data=data[0], det_drift=drift,
+                       conditioning=cond_estimate(mode_matrix(basis.stack)[0]))
 
 
 @dataclass(frozen=True)
@@ -334,17 +382,20 @@ def _reference_phases(modes: ModeStack, d: float):
     # exp(i k d) for the plus modes and exp(-i k d) for the minus modes:
     # |.| <= 1 for Im k >= 0 and Im k <= 0 respectively
     e = np.exp(1j * np.concatenate([modes.ks[:, :n], -modes.ks[:, n:]],
-                                   axis=1) * d)[:, None, :]
+                                   axis=1) * _per_point(d))[:, None, :]
     at_z0, at_z = e.copy(), e
     at_z0[..., :n] = 1.0
     at_z[..., n:] = 1.0
     return at_z0, at_z
 
 
-def single_stack(variant: Variant, modes: ModeStack, d: float,
+def single_stack(variant: Variant, modes: ModeStack, d,
                  fails: PointFailures) -> tuple[np.ndarray, np.ndarray]:
     """Stacked :func:`h_single_stable` or :func:`e_single_stable`: the
     (G, 2N, 2N) data and the conditioning of every point.
+
+    ``d`` is one thickness or a (G,) array of per-point thicknesses, and
+    ``modes`` has G points or one point shared by all.
 
     H = U^{FA} [U^{AF}]^{-1} and E = U^{AA} [U^{FF}]^{-1}; a point whose
     scaled condition of the inverted factor exceeds CONDITION_LIMIT, or
@@ -354,7 +405,7 @@ def single_stack(variant: Variant, modes: ModeStack, d: float,
     at_z0, at_z = _reference_phases(modes, d)
     # numerator and denominator rows: (F(z0); A(z)) over (A(z0); F(z))
     # for H, (A(z0); A(z)) over (F(z0); F(z)) for E
-    num = np.empty(modes.ks.shape[:1] + (2 * n, 2 * n), dtype=complex)
+    num = np.empty(at_z.shape[:1] + (2 * n, 2 * n), dtype=complex)
     den = np.empty_like(num)
     if variant is Variant.H:
         num[:, :n], num[:, n:] = modes.f0 * at_z0, modes.a0 * at_z

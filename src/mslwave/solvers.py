@@ -186,6 +186,7 @@ def _bisect_all(evaluate, lo, hi, flo, tol: float):
             break
         mid = 0.5 * (lo[idx] + hi[idx])
         f, masked = _evaluate(evaluate, mid)
+        masked |= ~np.isfinite(f)
         fmid = f.real
         zero = ~masked & (fmid == 0.0)
         x[idx[zero]] = mid[zero]
@@ -203,9 +204,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _abs_values(evaluate, xs) -> np.ndarray:
-    """|f| at ``xs``, inf at masked points."""
+    """|f| at ``xs``, inf at masked points and at non-finite values."""
     f, masked = _evaluate(evaluate, xs)
-    return np.where(masked, np.inf, np.abs(f))
+    return np.where(masked | ~np.isfinite(f), np.inf, np.abs(f))
 
 
 def _golden_all(evaluate, a, c, tol: float):
@@ -244,8 +245,9 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
     """Sample a secular function, bracket its zeros, and refine them.
 
     Points where ``func`` raises a library error are masked; brackets
-    never span masked points. When the sampled values are real up to
-    noise the zeros are bracketed by sign changes and refined by
+    never span masked points, and never end at a non-finite value
+    (refinement treats one as masked). When the sampled values are real
+    up to noise the zeros are bracketed by sign changes and refined by
     bisection; otherwise local minima of |f| are refined by golden
     section. Refined candidates whose residual stays a sizable fraction
     of the scan's typical magnitude are pole crossings or shallow dips,
@@ -263,8 +265,12 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
                 else _pointwise(func))
 
     values, masked = _evaluate(evaluate, grid)
+    # an overflowed value (inf or NaN) has no usable sign or size: it
+    # neither ends a bracket nor sets the residual scale, though its
+    # point is not masked, since its evaluation did not fail
+    usable = ~masked & np.isfinite(values)
 
-    finite = values[~masked]
+    finite = values[usable]
     if mode == "auto":
         if len(finite) == 0:
             mode = "sign"
@@ -281,7 +287,7 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
 
     if mode == "sign":
         re = values.real
-        pair_ok = ~masked[:-1] & ~masked[1:]
+        pair_ok = usable[:-1] & usable[1:]
         at_zero = pair_ok & (re[:-1] == 0.0)
         starts = np.flatnonzero(at_zero | (pair_ok & (re[:-1] * re[1:] < 0.0)))
         at_zero = at_zero[starts]
@@ -297,7 +303,7 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
         x[~at_zero], res[~at_zero] = xs, np.abs(fx)
     else:
         mag = np.abs(values)
-        inner = ~masked[:-2] & ~masked[1:-1] & ~masked[2:]
+        inner = usable[:-2] & usable[1:-1] & usable[2:]
         centers = 1 + np.flatnonzero(inner & (mag[1:-1] <= mag[:-2])
                                      & (mag[1:-1] <= mag[2:]))
         starts, ends = centers - 1, centers + 1
@@ -496,10 +502,11 @@ def periodic_dispersion(period: LayeredStructure, variant: Variant | str,
     Evaluates the determinant form of the chosen variant. The H and E
     forms are the G = 1 case of :func:`periodic_dispersion_stack`;
     failures raise. The T and S forms are evaluated here, one point at a
-    time. The S form expands the boundary values in the reduced bases
-    of the media that flank the period boundaries under periodic
-    continuation (the last layer's medium on the left, the first
-    layer's on the right).
+    time; a T determinant past the double range is returned as inf or
+    NaN, without a floating-point warning. The S form expands the
+    boundary values in the reduced bases of the media that flank the
+    period boundaries under periodic continuation (the last layer's
+    medium on the left, the first layer's on the right).
     """
     variant = Variant(variant)
     if variant in (Variant.H, Variant.E):
@@ -517,7 +524,10 @@ def periodic_dispersion(period: LayeredStructure, variant: Variant | str,
 
     if variant is Variant.T:
         t, _ = structure_propagator(period, Variant.T, cache)
-        return complex(np.linalg.det(t.data - np.eye(2 * n) * phase))
+        # a finite T can have a determinant past the double range; it
+        # comes back inf or NaN, which scan_and_refine never brackets
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(np.linalg.det(t.data - np.eye(2 * n) * phase))
 
     if variant is not Variant.S:
         raise VariantError(f"periodic dispersion supports T/H/E/S, got {variant}")

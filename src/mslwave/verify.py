@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._linalg import UNIT_ROUNDOFF, det_drift, solve_checked
-from .errors import MatrixOverflowError, MslError
-from .media import LayeredStructure, MslCoefficients
-from .propagators import (BlockMatrix, Variant, gamma_blocks, t_single)
-from .compose import structure_propagator
+from ._linalg import UNIT_ROUNDOFF, det_drift, solve_checked, sv_ratio
+from .errors import MatrixOverflowError, MslError, PointFailures
+from .media import Layer, LayeredStructure, MslCoefficients
+from .propagators import (BlockMatrix, Variant, _det_drift_extended,
+                          gamma_blocks, t_single)
+from .compose import fold_stack, structure_propagator
 from .qep import ModeBasis, solve_qep
 
 
@@ -154,21 +155,24 @@ def default_c_estimate(basis: ModeBasis) -> float:
     return out
 
 
-def roundoff_bound(m: MslCoefficients, d: float,
+def roundoff_bound(m: MslCoefficients, d,
                    c_estimate: float | None = None,
-                   basis: ModeBasis | None = None) -> float:
+                   basis: ModeBasis | None = None):
     """Estimated roundoff error c * max_j exp(|Im k_j| d) * u.
 
     ``u`` is the empirically detected unit roundoff. The default
     prefactor comes from :func:`default_c_estimate`. Monotone
-    nondecreasing in d; equals c * u at d = 0.
+    nondecreasing in d; equals c * u at d = 0. For an array of
+    thicknesses ``d`` the bound is the array of their bounds.
     """
     if basis is None:
         basis = solve_qep(m)
     if c_estimate is None:
         c_estimate = default_c_estimate(basis)
-    growth = float(np.exp(min(basis.max_abs_im_k() * d, 709.0)))
-    return c_estimate * growth * UNIT_ROUNDOFF
+    growth = np.exp(np.minimum(basis.max_abs_im_k() * np.asarray(d, float),
+                               709.0))
+    bound = c_estimate * growth * UNIT_ROUNDOFF
+    return float(bound) if np.ndim(d) == 0 else bound
 
 
 _REPORT_COLUMNS = (
@@ -181,12 +185,72 @@ _REPORT_COLUMNS = (
 )
 
 
-def _scaled(s: LayeredStructure, scale: float) -> LayeredStructure:
-    from .media import Layer
-    return LayeredStructure(
-        left=s.left,
-        layers=tuple(Layer(ly.medium, ly.thickness * scale) for ly in s.layers),
-        right=s.right)
+def _scaled_thicknesses(s: LayeredStructure, scales: np.ndarray) -> np.ndarray:
+    """Layer thicknesses at each scale, (G, L); a scaled thickness that
+    is negative or not finite raises as :class:`Layer` does."""
+    d = np.array([ly.thickness for ly in s.layers])[None, :] * scales[:, None]
+    bad = ~np.isfinite(d) | (d < 0.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        Layer(s.layers[j].medium, float(d[i, j]))
+    return d
+
+
+def _fold_points(s: LayeredStructure, layers, variant: Variant, bases,
+                 g: int):
+    """:func:`fold_stack` of ``layers`` over g points, as (data, cond,
+    steps, fails). A region without layers does not depend on the
+    points: :func:`structure_propagator` folds it once, and its result
+    (or error) is broadcast."""
+    fails = PointFailures(g)
+    if layers:
+        return (*fold_stack(layers, variant, lambda m: bases[m].stack, fails,
+                            trace=variant is not Variant.T,
+                            ends=(s.left, s.right)), fails)
+    try:
+        bare, _ = structure_propagator(
+            LayeredStructure(left=s.left, layers=(), right=s.right),
+            variant, bases)
+    except MslError as exc:
+        fails.add(np.ones(g, dtype=bool), lambda i: exc)
+        return None, None, [], fails
+    return np.broadcast_to(bare.data, (g,) + bare.data.shape), None, [], fails
+
+
+def _max_over(values, default: float, g: int) -> np.ndarray:
+    """Pointwise maximum of a list of (g,) arrays; ``default`` when the
+    list is empty (a fold without steps)."""
+    return np.max(values, axis=0) if values else np.full(g, default)
+
+
+def _live_cells(variant: Variant, layers, bases, data, cond, steps,
+                ok: np.ndarray) -> list[list]:
+    """The value cells of one variant at the points ``ok`` that folded."""
+    if not len(ok):
+        return []
+    if variant is Variant.T:
+        if len(layers) == 1 and layers[0][0].is_formally_hermitian():
+            m, d = layers[0]
+            return [[_det_drift_extended(bases[m], float(d[i]))] for i in ok]
+        return [[det_drift(data[i])] for i in ok]
+    if variant is Variant.E:
+        inner = _max_over([sv[ok, 0] for sv in steps], 0.0, len(ok))
+        return [[None if cond is None else float(cond[i]), float(inner[k])]
+                for k, i in enumerate(ok)]
+    n = data.shape[-1] // 2
+    norms = [np.linalg.norm(data[ok, r:r + n, c:c + n], 2, axis=(1, 2))
+             for r in (0, n) for c in (0, n)]
+    conds = _max_over([sv_ratio(sv[ok]) for sv in steps], 1.0, len(ok))
+    cells = []
+    for k in range(len(ok)):
+        cell = [float(max(nrm[k] for nrm in norms))]
+        if variant is Variant.H:
+            cell.append(float(norms[1][k] + norms[2][k]))
+        cells.append(cell + [float(conds[k])])
+    return cells
+
+
+_CELL_WIDTH = {Variant.T: 1, Variant.H: 3, Variant.S: 2, Variant.E: 2}
 
 
 def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
@@ -194,66 +258,48 @@ def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
 
     Failures are recorded as data (status columns), never raised, so a
     sweep can cross from the stable into the overflow regime and back.
+    Each variant is folded once, with the scales as the G points of
+    :func:`fold_stack` (per-point thicknesses); the cells are those of
+    per-scale :func:`structure_propagator` calls. Per-medium facts (mode
+    bases, max |Im k|, the roundoff prefactor, formal hermiticity) are
+    computed once per medium.
     """
     bases = {}
-
-    def basis_of(m):
+    for m in [ly.medium for ly in s.layers] + [s.left, s.right]:
         if m not in bases:
             bases[m] = solve_qep(m)
-        return bases[m]
+    scales = np.asarray(scales, dtype=float)
+    g = len(scales)
+    if not g:
+        return StabilityReport(columns=_REPORT_COLUMNS, rows=())
+    d = _scaled_thicknesses(s, scales)
+    im_k = {m: basis.max_abs_im_k() for m, basis in bases.items()}
+    total_omega_d, columns = np.zeros(g), {}
+    for j, ly in enumerate(s.layers):
+        total_omega_d = total_omega_d + im_k[ly.medium] * d[:, j]
+        columns.setdefault(ly.medium, []).append(j)
+    bounds = [roundoff_bound(m, d[:, js], basis=bases[m]).max(axis=1)
+              for m, js in columns.items()]
+    rows = [[float(scale), float(omega_d)]
+            for scale, omega_d in zip(scales, total_omega_d)]
 
-    for ly in s.layers:
-        basis_of(ly.medium)
-    basis_of(s.left)
-    basis_of(s.right)
-
-    rows = []
-    for scale in np.asarray(scales, dtype=float):
-        scaled = _scaled(s, float(scale))
-        total_omega_d = sum(basis_of(ly.medium).max_abs_im_k() * ly.thickness
-                            for ly in scaled.layers)
-        row: list = [float(scale), float(total_omega_d)]
-
-        try:
-            t_total, _ = structure_propagator(scaled, Variant.T, bases)
-            drift = t_total.det_drift
-            if drift is None:
-                drift = det_drift(t_total.data)
-            row += ["ok", drift]
-        except MslError as exc:
-            row += [type(exc).__name__, None]
-
-        try:
-            h_total, h_trace = structure_propagator(scaled, Variant.H, bases)
-            block_norms = [np.linalg.norm(h_total.block(i, j), 2)
-                           for i in (1, 2) for j in (1, 2)]
-            offdiag = float(np.linalg.norm(h_total.b12, 2)
-                            + np.linalg.norm(h_total.b21, 2))
-            row += ["ok", float(max(block_norms)), offdiag,
-                    float(h_trace.max_conditioning())]
-        except MslError as exc:
-            row += [type(exc).__name__, None, None, None]
-
-        try:
-            s_total, s_trace = structure_propagator(scaled, Variant.S, bases)
-            block_norms = [np.linalg.norm(s_total.block(i, j), 2)
-                           for i in (1, 2) for j in (1, 2)]
-            row += ["ok", float(max(block_norms)),
-                    float(s_trace.max_conditioning())]
-        except MslError as exc:
-            row += [type(exc).__name__, None, None]
-
-        try:
-            e_total, e_trace = structure_propagator(scaled, Variant.E, bases)
-            row += ["ok", e_total.conditioning,
-                    float(e_trace.max_factor_norm())]
-        except MslError as exc:
-            row += [type(exc).__name__, None, None]
-
-        bound = max((roundoff_bound(ly.medium, ly.thickness,
-                                    basis=basis_of(ly.medium))
-                     for ly in scaled.layers), default=0.0)
-        row.append(float(bound))
-        rows.append(tuple(row))
-
-    return StabilityReport(columns=_REPORT_COLUMNS, rows=tuple(rows))
+    # points whose scaled layers vanish alike fold together
+    present = d > 0.0
+    for pattern in np.unique(present, axis=0):
+        points = np.flatnonzero((present == pattern).all(axis=1))
+        layers = [(s.layers[j].medium, d[points, j])
+                  for j in np.flatnonzero(pattern)]
+        for variant in (Variant.T, Variant.H, Variant.S, Variant.E):
+            data, cond, steps, fails = _fold_points(s, layers, variant, bases,
+                                                    len(points))
+            ok = np.flatnonzero(~fails.failed)
+            live = dict(zip(ok, _live_cells(variant, layers, bases, data,
+                                            cond, steps, ok)))
+            for k, i in enumerate(points):
+                rows[i] += (["ok", *live[k]] if k in live else
+                            [type(fails.errors[k]).__name__]
+                            + [None] * _CELL_WIDTH[variant])
+    for row, b in zip(rows, _max_over(bounds, 0.0, g)):
+        row.append(float(b))
+    return StabilityReport(columns=_REPORT_COLUMNS,
+                           rows=tuple(tuple(row) for row in rows))

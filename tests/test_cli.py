@@ -2,6 +2,7 @@ import csv
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,3 +115,18 @@ def test_cli_bands_overflow_rows_name_masked_scans(tmp_path, fmt):
     # the H scans of the same period mask nothing
     _, h_rows = run_bands(tmp_path, THICK, "h", fmt)
     assert split_rows(h_rows)[1] == []
+
+
+def test_t_band_scan_brackets_only_finite_values():
+    # above E = 3.28 the T matrix of the 250-thick barrier is finite but
+    # its Bloch determinant leaves the double range; such values must
+    # not bracket roots (the T scan once returned 303 roots here, where
+    # H finds one) and must raise no floating-point warning
+    defn = parse_structure(json.dumps(kp_doc(THICK[0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scan, = band_scans(defn, [0.3], (0.05, 8.0), Variant.T)
+    assert not np.isfinite(scan.values[~scan.masked]).all()
+    ends = np.searchsorted(scan.grid, np.array(scan.brackets).reshape(-1))
+    assert np.isfinite(scan.values[ends]).all()
+    assert all(math.isfinite(r.residual) for r in scan.roots)

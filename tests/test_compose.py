@@ -4,15 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from mslwave import (BlockMatrix, Layer, LayeredStructure,
-                     MatrixOverflowError, Variant, antidiagonal_identity,
-                     compose_e, compose_h, compose_t, e_from_t,
-                     e_single_stable, h_single_stable, k_matrix,
+from mslwave import (BlockMatrix, IllConditionedError, Layer,
+                     LayeredStructure, MatrixOverflowError, MslError, Variant,
+                     antidiagonal_identity, compose_e, compose_h, compose_t,
+                     e_from_t, e_single_stable, h_single_stable, k_matrix,
                      make_quantum_medium, make_scalar_medium, q_matrix,
                      s_from_k, s_identity, solve_qep, star_product,
                      structure_propagator, t_single,
                      variant_comparison_report)
-from mslwave.compose import _compose_e_traced
+from mslwave.compose import _compose_e_traced, fold_stack
+from mslwave.errors import PointFailures
 from conftest import random_partitionable_medium
 
 EVANESCENT = make_scalar_medium(1, 0, 0, -1)
@@ -252,3 +253,84 @@ def test_empty_region_folds():
     assert np.allclose(t.data, np.eye(2))
     h, _ = structure_propagator(s, Variant.H)
     assert np.allclose(h.data, antidiagonal_identity(1).data)
+
+
+# --- stacked folds against single points -----------------------------------
+
+BARRIER = make_quantum_medium(1.0, 100.0, 0.0)  # |Im k| = 10, |a0| = 10
+
+
+def assert_fold_matches_points(left, media, thicknesses, right, variant):
+    """fold_stack over G points with per-point thicknesses (G, L) against
+    structure_propagator of each point: data and trace to rtol 1e-12,
+    identical masks, identical errors (class, message, attributes)."""
+    bases = {m: solve_qep(m) for m in [left, right, *media]}
+    g = len(thicknesses)
+    fails = PointFailures(g)
+    data, cond, steps = fold_stack(
+        [(m, thicknesses[:, j]) for j, m in enumerate(media)], variant,
+        lambda m: bases[m].stack, fails, trace=True, ends=(left, right))
+    for i in range(g):
+        s = LayeredStructure(left=left, right=right, layers=tuple(
+            Layer(m, float(d)) for m, d in zip(media, thicknesses[i])))
+        try:
+            want, trace = structure_propagator(s, variant, bases)
+        except MslError as exc:
+            got = fails.errors[i]
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            for attr in ("layer_index", "omega_d", "estimate", "sigma_min"):
+                assert getattr(got, attr, None) == getattr(exc, attr, None)
+            continue
+        assert not fails.failed[i]
+        np.testing.assert_allclose(data[i], want.data, rtol=1e-12, atol=0)
+        if want.conditioning is not None:
+            assert cond[i] == pytest.approx(want.conditioning, rel=1e-12)
+        assert len(steps) == len(trace)
+        for sv, step in zip(steps, trace.steps):
+            assert sv[i, 0] == pytest.approx(step.factor_norm, rel=1e-12)
+            assert sv[i, -1] == pytest.approx(step.factor_sigma_min,
+                                              rel=1e-12, abs=1e-300)
+    return fails
+
+
+def test_fold_stack_t_overflow_points_keep_layer_index():
+    # per point: live; the middle layer's exp(|Im k| d) past the double
+    # range; its exp times |a0| = 10 past it; the product past it at
+    # layer 0; live again
+    thicknesses = np.array([[1.0, 1.0, 1.0], [1.0, 71.0, 1.0],
+                            [1.0, 70.95, 1.0], [400.0, 35.0, 1.0],
+                            [300.0, 30.0, 2.0]])
+    media = [EVANESCENT, BARRIER, EVANESCENT]
+    fails = assert_fold_matches_points(EVANESCENT, media, thicknesses,
+                                       EVANESCENT, Variant.T)
+    assert fails.failed.tolist() == [False, True, True, True, False]
+    assert [fails.errors[i].layer_index for i in (1, 2, 3)] == [1, 1, 0]
+    for variant in (Variant.H, Variant.S, Variant.E):
+        assert not assert_fold_matches_points(EVANESCENT, media, thicknesses,
+                                              EVANESCENT, variant).failed.any()
+
+
+def test_fold_stack_e_thin_layer_points():
+    thicknesses = np.array([[0.5, 1.0], [1e-12, 1.0], [0.7, 1e-13],
+                            [2.0, 0.3]])
+    fails = assert_fold_matches_points(EVANESCENT, [EVANESCENT, BARRIER],
+                                       thicknesses, BARRIER, Variant.E)
+    assert fails.failed.tolist() == [False, True, True, False]
+    assert all(isinstance(fails.errors[i], IllConditionedError)
+               for i in (1, 2))
+    for variant in (Variant.T, Variant.H, Variant.S):
+        assert_fold_matches_points(EVANESCENT, [EVANESCENT, BARRIER],
+                                   thicknesses, BARRIER, variant)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fold_stack_matches_single_points_random_media(rng, n):
+    media = [random_partitionable_medium(rng, n)[0] for _ in range(5)]
+    thicknesses = rng.uniform(0.2, 2.0, (6, 3))
+    for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
+        assert_fold_matches_points(media[0], media[1:4], thicknesses,
+                                   media[4], variant)
+    single = thicknesses[:, :1]
+    for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
+        assert_fold_matches_points(media[0], media[1:2], single, media[4],
+                                   variant)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from mslwave import (BlockMatrix, IllConditionedError, MatrixOverflowError,
                      ShPiezoParams, SingularMatrixError, Variant, VariantError,
                      antidiagonal_identity, e_from_t, e_single_stable,
                      gamma_blocks, h_from_t, h_single_stable, invert_variant,
-                     k_matrix, make_scalar_medium, make_sh_piezo_medium,
+                     k_matrix, make_quantum_medium, make_scalar_medium,
+                     make_sh_piezo_medium,
                      q_matrix, reblock_family, s_from_k, solve_qep,
                      t_partitions, t_single)
 from mslwave.qep import Mode, ModeBasis
@@ -48,6 +50,19 @@ def test_t_single_overflow_carries_omega_d():
     with pytest.raises(MatrixOverflowError) as err:
         t_single(EVANESCENT, 800.0)
     assert err.value.omega_d == pytest.approx(800.0)
+
+
+def test_t_single_mode_product_overflow_is_typed():
+    # |Im k| d = 709.5 passes the exp check, but exp(|Im k| d) times the
+    # mode amplitude |a0| = 10 overflows: the typed error carries omega_d
+    # and no floating-point warning escapes
+    barrier = make_quantum_medium(1.0, 100.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MatrixOverflowError) as err:
+            t_single(barrier, 70.95)
+    assert err.value.omega_d == pytest.approx(709.5)
+    assert "non-finite" in str(err.value)
 
 
 def test_t_chain_rule_random(rng):

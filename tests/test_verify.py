@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mslwave import (Layer, LayeredStructure, MatrixOverflowError,
+from mslwave import (Layer, LayeredStructure, MatrixOverflowError, MslError,
                      default_c_estimate, det_unimodularity_scan,
                      expm_propagator, first_order_matrix, make_scalar_medium,
-                     rk4_propagator, roundoff_bound, solve_qep, t_single,
+                     rk4_propagator, roundoff_bound, solve_qep,
+                     structure_propagator, t_single,
                      variant_comparison_report)
-from mslwave._linalg import UNIT_ROUNDOFF
+from mslwave._linalg import UNIT_ROUNDOFF, det_drift
 from conftest import random_hermitian_medium, random_partitionable_medium
 
 EVANESCENT = make_scalar_medium(1, 0, 0, -1)
@@ -185,3 +186,58 @@ def test_report_zero_length_sweep():
     assert report.rows == ()
     text = report.to_csv(include_meta=False)
     assert text.strip().splitlines() == [",".join(report.columns)]
+
+
+def per_scale_rows(s, scales):
+    """The report computed scale by scale through structure_propagator
+    (the reference the stacked report must reproduce exactly)."""
+    rows = []
+    for scale in scales:
+        scaled = LayeredStructure(left=s.left, right=s.right, layers=tuple(
+            Layer(ly.medium, ly.thickness * scale) for ly in s.layers))
+        bases = {m: solve_qep(m)
+                 for m in [s.left, s.right] + [ly.medium for ly in s.layers]}
+        row = [float(scale), float(sum(bases[ly.medium].max_abs_im_k()
+                                       * ly.thickness for ly in scaled.layers))]
+        for variant in "THSE":
+            try:
+                m, trace = structure_propagator(scaled, variant, bases)
+            except MslError as exc:
+                row += [type(exc).__name__] + [None] * {"T": 1, "H": 3,
+                                                        "S": 2, "E": 2}[variant]
+                continue
+            norms = [np.linalg.norm(m.block(i, j), 2)
+                     for i in (1, 2) for j in (1, 2)]
+            row += {"T": lambda: ["ok", m.det_drift if m.det_drift is not None
+                                  else det_drift(m.data)],
+                    "H": lambda: ["ok", float(max(norms)),
+                                  float(norms[1] + norms[2]),
+                                  float(trace.max_conditioning())],
+                    "S": lambda: ["ok", float(max(norms)),
+                                  float(trace.max_conditioning())],
+                    "E": lambda: ["ok", m.conditioning,
+                                  float(trace.max_factor_norm())]}[variant]()
+        row.append(float(max((roundoff_bound(ly.medium, ly.thickness,
+                                             basis=bases[ly.medium])
+                              for ly in scaled.layers), default=0.0)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("layers,scales", [
+    # one hermitian layer: t_det_drift is t_single's extended drift; the
+    # thinnest scale fails E, the thickest overflows T
+    ([(EVANESCENT, 1.0)], [1e-13, 0.5, 30.0, 800.0]),
+    # well/barrier stack with a zero-thickness layer: the drift of the
+    # product comes from slogdet; scale 0 folds the bare interface
+    ([(PROPAGATING, 0.7), (EVANESCENT, 2.0), (PROPAGATING, 0.0),
+      (EVANESCENT, 1.5)], [0.0, 0.2, 1.0, 10.0, 120.0, 250.0]),
+])
+def test_report_matches_per_scale_folds(layers, scales):
+    s = LayeredStructure(left=EVANESCENT, right=PROPAGATING, layers=tuple(
+        Layer(m, d) for m, d in layers))
+    report = variant_comparison_report(s, scales)
+    assert report.rows == per_scale_rows(s, scales)
+    statuses = {cell for row in report.rows for cell in row
+                if isinstance(cell, str)}
+    assert {"ok", "MatrixOverflowError"} <= statuses
