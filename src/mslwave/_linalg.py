@@ -17,7 +17,6 @@ from .errors import SingularMatrixError
 # x86-64 Linux exposes complex256 (80-bit extended); elsewhere fall back
 # to complex128 and accept a coarser diagnostic floor.
 EXTENDED_COMPLEX = getattr(np, "complex256", np.complex128)
-HAS_EXTENDED = EXTENDED_COMPLEX is not np.complex128
 
 
 def unit_roundoff() -> float:

@@ -8,10 +8,12 @@ trace so the regularity claim is checkable rather than assumed.
 
 All four folds run stacked over G parameter points (:func:`fold_stack`,
 with the H, E and S rules :func:`compose_h_stack`,
-:func:`compose_e_stack` and :func:`star_stack`), recording failures per
-point. Each point may carry its own thicknesses, so one fold covers a
-thickness sweep. :func:`structure_propagator`, :func:`compose_h`,
-:func:`compose_e` and :func:`star_product` are their G = 1 case.
+:func:`compose_e_stack` and :func:`star_stack`, and the S interfaces
+:func:`interface_stack`), recording failures per point. Each point may
+carry its own thicknesses and its own media, so one fold covers a
+thickness or an energy sweep. :func:`structure_propagator`,
+:func:`compose_h`, :func:`compose_e`, :func:`star_product` and
+:func:`interface_scattering` are their G = 1 case.
 """
 
 from __future__ import annotations
@@ -20,16 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (cond_stack, det_drift, smallest_singular_value,
-                      stacked_call)
-from .errors import (IllConditionedError, MatrixOverflowError, MslError,
+from ._linalg import (cond_stack, det_drift, scaled_cond_stack,
+                      smallest_singular_value, solve_stack, stacked_call)
+from .errors import (IllConditionedError, MatrixOverflowError,
                      PointFailures, ResonanceError, StructuralError,
                      VariantError)
 from .media import LayeredStructure, MslCoefficients
-from .propagators import (BlockMatrix, Variant, _det_drift_extended,
-                          _per_point, antidiagonal_identity, k_matrix,
-                          mode_matrix, q_matrix, s_from_k, single_stack,
-                          t_single_stack)
+from .propagators import (CONDITION_LIMIT, BlockMatrix, Variant, _assemble,
+                          _det_drift_extended, _per_point, _q_condition_error,
+                          antidiagonal_identity, mode_matrix, s_from_k_stack,
+                          single_stack, t_single_stack)
 from .qep import ModeBasis, ModeStack, solve_qep
 
 
@@ -82,18 +84,6 @@ def _inner_solve_stack(factor: np.ndarray, rhs: np.ndarray, rule: str,
             f"singular inner factor in the {rule} composition rule "
             f"(sigma_min = {sigma_min:.3e})", sigma_min=sigma_min)
     return stacked_call(np.linalg.solve, fails, resonance, factor, rhs)
-
-
-def _assemble(variant: Variant, b11, b12, b21, b22,
-              fails: PointFailures) -> np.ndarray:
-    n = b11.shape[-1]
-    data = np.empty(b11.shape[:-2] + (2 * n, 2 * n), dtype=complex)
-    data[:, :n, :n], data[:, :n, n:] = b11, b12
-    data[:, n:, :n], data[:, n:, n:] = b21, b22
-    fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
-              MatrixOverflowError(f"{variant} matrix contains non-finite entries"))
-    fails.patch(data)
-    return data
 
 
 def compose_h_stack(h_m: np.ndarray, h_rest: np.ndarray, fails: PointFailures,
@@ -162,16 +152,6 @@ def _compose_traced(variant: Variant, m: BlockMatrix, rest: BlockMatrix,
     return BlockMatrix(variant=variant, data=data[0]), _step_of(index, sv[0])
 
 
-def _compose_h_traced(h_m: BlockMatrix, h_rest: BlockMatrix,
-                      index: int) -> tuple[BlockMatrix, CompositionStep]:
-    return _compose_traced(Variant.H, h_m, h_rest, index)
-
-
-def _compose_e_traced(e_m: BlockMatrix, e_rest: BlockMatrix,
-                      index: int) -> tuple[BlockMatrix, CompositionStep]:
-    return _compose_traced(Variant.E, e_m, e_rest, index)
-
-
 def compose_h(h_m: BlockMatrix, h_rest: BlockMatrix) -> BlockMatrix:
     """Hybrid matrix of layer m joined with the stack to its right.
 
@@ -179,7 +159,7 @@ def compose_h(h_m: BlockMatrix, h_rest: BlockMatrix) -> BlockMatrix:
     from zero to infinity; a singular G marks a physical resonance and
     raises so root finders can bracket it.
     """
-    return _compose_h_traced(h_m, h_rest, 0)[0]
+    return _compose_traced(Variant.H, h_m, h_rest, 0)[0]
 
 
 def compose_e(e_m: BlockMatrix, e_rest: BlockMatrix) -> BlockMatrix:
@@ -189,7 +169,7 @@ def compose_e(e_m: BlockMatrix, e_rest: BlockMatrix) -> BlockMatrix:
     its norm grows like 1/d for thin layers; the trace records that
     growth (the roundoff-accumulation regime).
     """
-    return _compose_e_traced(e_m, e_rest, 0)[0]
+    return _compose_traced(Variant.E, e_m, e_rest, 0)[0]
 
 
 def star_stack(y: np.ndarray, x: np.ndarray, fails: PointFailures,
@@ -232,12 +212,34 @@ def s_identity(n: int) -> BlockMatrix:
     return BlockMatrix(variant=Variant.S, data=m.data)
 
 
+def interface_stack(left: ModeStack, right: ModeStack,
+                    fails: PointFailures) -> np.ndarray:
+    """Stacked :func:`interface_scattering`, (G, 2N, 2N): K = Q_R^{-1} Q_L
+    over the reduced bases, turned into S. Each medium has G points or
+    one point shared by all. A point fails where Q_R or Q_L is
+    ill-conditioned, Q_R or K22 is singular, or K or S is not finite."""
+    shape = fails.failed.shape + (2 * left.n, 2 * left.n)
+    q_right, q_left = (np.broadcast_to(mode_matrix(m), shape)
+                       for m in (right, left))
+    for q in (q_right, q_left):
+        cond = scaled_cond_stack(q)
+        fails.add(cond > CONDITION_LIMIT,
+                  lambda i: _q_condition_error(float(cond[i])))
+    k = solve_stack(q_right, q_left, fails, "Q(R)")
+    fails.add(~np.isfinite(k).all(axis=(1, 2)), lambda i:
+              MatrixOverflowError("K matrix contains non-finite entries"))
+    fails.patch(k)
+    return s_from_k_stack(k, fails)
+
+
 def interface_scattering(basis_left: ModeBasis,
                          basis_right: ModeBasis) -> BlockMatrix:
-    """S matrix of a bare interface from the two reduced mode bases."""
-    k = k_matrix(q_matrix(basis_right), t_identity(basis_left.n),
-                 q_matrix(basis_left))
-    return s_from_k(k)
+    """S matrix of a bare interface from the two reduced mode bases; the
+    G = 1 case of :func:`interface_stack`, whose failures it raises."""
+    fails = PointFailures(1)
+    data = interface_stack(basis_left.stack, basis_right.stack, fails)
+    fails.raise_first()
+    return BlockMatrix(variant=Variant.S, data=data[0])
 
 
 def t_identity(n: int) -> BlockMatrix:
@@ -302,27 +304,15 @@ def _fold_t(layers, modes_of, fails: PointFailures, trace: bool):
 
 def _fold_s(layers, ends, modes_of, fails: PointFailures, trace: bool):
     """S fold of :func:`fold_stack`: propagation and interface factors
-    alternate from the right half-space toward the left. An interface
-    does not depend on the points, so each adjacent pair of media is
-    computed once and broadcast; its failure fails every point."""
+    alternate from the right half-space toward the left. The interface
+    of each adjacent pair of media is computed once per fold."""
     media = [ends[0]] + [key for key, _ in layers] + [ends[1]]
-    shape = (len(fails.failed), 2 * ends[0].n, 2 * ends[0].n)
     cache = {}
 
     def interface(i: int) -> np.ndarray:
         pair = media[i], media[i + 1]
         if pair not in cache:
-            try:
-                stacks = [modes_of(m) for m in pair]
-                if any(len(st.ks) != 1 for st in stacks):
-                    raise StructuralError(
-                        "S folds need one-point mode stacks")
-                data = interface_scattering(
-                    *(st.basis(0, m) for st, m in zip(stacks, pair))).data
-            except MslError as exc:
-                fails.add(np.ones(shape[0], dtype=bool), lambda j: exc)
-                data = antidiagonal_identity(shape[1] // 2).data
-            cache[pair] = np.broadcast_to(data, shape)
+            cache[pair] = interface_stack(*map(modes_of, pair), fails)
         return cache[pair]
 
     acc, steps = interface(len(layers)), []
@@ -351,9 +341,7 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
     :class:`ModeStack`, of G points or of one point shared by all. T
     composes by the plain product, H and E by their inner-factor rules,
     and S alternates propagation and interface factors between the
-    half-spaces ``ends`` = (left key, right key). S needs
-    point-independent media: its keys are the media themselves, each
-    with a one-point :class:`ModeStack`.
+    half-spaces ``ends`` = (left key, right key).
 
     Returns the (G, 2N, 2N) data; the conditioning of the single layer
     when there is only one (T: the 2-norm condition of Q0; H and E: that

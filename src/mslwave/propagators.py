@@ -27,7 +27,7 @@ import numpy as np
 from ._linalg import (EXTENDED_COMPLEX, cond_estimate, det_pivoted,
                       inv_pivoted, right_solve_checked, right_solve_stack,
                       scaled_cond, scaled_cond_stack, solve_checked,
-                      stacked_call)
+                      solve_stack, stacked_call)
 from .errors import (DegenerateModeError, IllConditionedError,
                      MatrixOverflowError, PointFailures, SingularMatrixError,
                      VariantError)
@@ -120,6 +120,20 @@ def from_blocks(variant: Variant, b11, b12, b21, b22,
                        conditioning=conditioning)
 
 
+def _assemble(variant: Variant, b11, b12, b21, b22,
+              fails: PointFailures) -> np.ndarray:
+    """(G, 2N, 2N) data from four (G, N, N) blocks; a point with a
+    non-finite entry is recorded in ``fails``."""
+    n = b11.shape[-1]
+    data = np.empty(b11.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    data[:, :n, :n], data[:, :n, n:] = b11, b12
+    data[:, n:, :n], data[:, n:, n:] = b21, b22
+    fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
+              MatrixOverflowError(f"{variant} matrix contains non-finite entries"))
+    fails.patch(data)
+    return data
+
+
 def antidiagonal_identity(n: int) -> BlockMatrix:
     """H(0) = S-identity = [[0, I], [I, 0]] in block form (H-tagged)."""
     z = np.zeros((n, n))
@@ -137,6 +151,14 @@ def _check_overflow(basis: ModeBasis, d: float):
         raise MatrixOverflowError(
             f"exp(|Im k| d) with |Im k| d = {omega_d:.3g} exceeds the "
             "representable range", omega_d=omega_d)
+
+
+def _q_condition_error(cond: float) -> IllConditionedError:
+    """The error of a solution basis Q whose scaled condition ``cond``
+    exceeds CONDITION_LIMIT."""
+    return IllConditionedError(
+        f"Q(z) basis condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
+        estimate=cond)
 
 
 def q_matrix(basis: ModeBasis, z: float = 0.0,
@@ -164,9 +186,7 @@ def q_matrix(basis: ModeBasis, z: float = 0.0,
     data = cols * phases[None, :]
     cond = scaled_cond(data)
     if cond > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"Q(z) basis condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
-            estimate=cond)
+        raise _q_condition_error(cond)
     return BlockMatrix(variant=Variant.Q, data=data, conditioning=cond)
 
 
@@ -471,18 +491,30 @@ def k_matrix(q_right: BlockMatrix, t: BlockMatrix,
                        conditioning=cond_estimate(q_right.data))
 
 
+def s_from_k_stack(k: np.ndarray, fails: PointFailures) -> np.ndarray:
+    """Stacked :func:`s_from_k` over (G, 2N, 2N) K data. A point whose
+    K22 is singular, or whose S is not finite, is recorded in ``fails``."""
+    n = k.shape[-1] // 2
+    k11, k12, k21, k22 = k[:, :n, :n], k[:, :n, n:], k[:, n:, :n], k[:, n:, n:]
+    k22_inv_k21 = solve_stack(k22, k21, fails, "K22")
+    eye = np.broadcast_to(np.eye(n, dtype=complex), k22.shape)
+    return _assemble(Variant.S, -k22_inv_k21, solve_stack(k22, eye, fails, "K22"),
+                     k11 - k12 @ k22_inv_k21,
+                     right_solve_stack(k22, k12, fails, "K22"), fails)
+
+
 def s_from_k(k: BlockMatrix) -> BlockMatrix:
-    """S = [[-K22^{-1} K21, K22^{-1}], [K11 - K12 K22^{-1} K21, K12 K22^{-1}]]."""
+    """S = [[-K22^{-1} K21, K22^{-1}], [K11 - K12 K22^{-1} K21, K12 K22^{-1}]].
+
+    The G = 1 case of :func:`s_from_k_stack`, whose failures it raises.
+    """
     if k.variant is not Variant.K:
         raise VariantError(f"s_from_k needs a K matrix, got {k.variant}")
-    k11, k12, k21, k22 = k.b11, k.b12, k.b21, k.b22
-    k22_inv_k21 = solve_checked(k22, k21, "K22")
-    s11 = -k22_inv_k21
-    s12 = solve_checked(k22, np.eye(k.n, dtype=complex), "K22")
-    s21 = k11 - k12 @ k22_inv_k21
-    s22 = right_solve_checked(k22, k12, "K22")
-    return from_blocks(Variant.S, s11, s12, s21, s22,
-                       conditioning=cond_estimate(k22))
+    fails = PointFailures(1)
+    data = s_from_k_stack(k.data[None], fails)
+    fails.raise_first()
+    return BlockMatrix(variant=Variant.S, data=data[0],
+                       conditioning=cond_estimate(k.b22))
 
 
 # The permutation family: matrices whose definitions differ only by

@@ -6,13 +6,13 @@ variants, the scalar Kronig-Penney specializations, a transcendental
 finite-well oracle, and the secular-scan machinery shared by all of
 them.
 
-The escape and SH-wave scans, and the H and E band scans, evaluate
-their secular determinant over blocks of SCAN_BLOCK parameter points at
-once through the stacked kernels (:func:`escape_secular_stack`,
-:func:`periodic_dispersion_stack`); :func:`scan_and_refine` refines all
+The escape, SH-wave and band scans evaluate their secular determinant
+over blocks of SCAN_BLOCK parameter points at once through the stacked
+kernels (:func:`escape_secular_stack`, :func:`periodic_dispersion_stack`,
+the latter in all four variants); :func:`scan_and_refine` refines all
 brackets of a scan in lockstep, so refinement runs in blocks too. The
-T and S band scans and the Kronig-Penney residuals stay scalar: they
-are evaluated one point at a time inside each block.
+Kronig-Penney residuals apply the paper's scalar relations to one
+two-layer fold.
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from ._linalg import solve_checked, solve_stack
-from .compose import (compose_e, compose_h, compose_t, fold_stack,
-                      structure_propagator)
+from ._linalg import solve_stack
+from .compose import fold_stack
 from .errors import (IllConditionedError, ModelingError, MslError,
                      PointFailures, VariantError)
-from .media import (Layer, LayeredStructure, MslCoefficients,
-                    StackedStructure, make_quantum_medium)
+from .media import (Layer, LayeredStructure, StackedStructure,
+                    make_quantum_medium)
 from .propagators import (BlockMatrix, Variant, antidiagonal_identity,
-                          e_single_stable, h_single_stable, k_matrix,
-                          s_from_k, t_single)
-from .qep import ModeBasis, solve_qep, solve_qep_stack
+                          k_matrix, mode_matrix, s_from_k)
+# solve_qep is bound here for perfbench/smoke_test.py, which checks that
+# the tracer patches and restores it in every module
+from .qep import ModeBasis, solve_qep, solve_qep_stack  # noqa: F401
 from .structure_io import StructureDefinition
 
 # |f(root)| above this fraction of the scan's typical magnitude marks a
@@ -256,7 +256,7 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
     The grid is evaluated in blocks of SCAN_BLOCK points and all brackets
     are refined in lockstep, one block evaluation per round for all of
     them. A plain callable is evaluated point by point within each
-    block; the escape and SH-wave scans pass a stacked evaluator.
+    block; the escape, SH-wave and band scans pass a stacked evaluator.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -289,7 +289,11 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
         re = values.real
         pair_ok = usable[:-1] & usable[1:]
         at_zero = pair_ok & (re[:-1] == 0.0)
-        starts = np.flatnonzero(at_zero | (pair_ok & (re[:-1] * re[1:] < 0.0)))
+        # compare signs: the product of two huge values overflows, and
+        # that of inf and 0 at an unusable pair is invalid
+        signs = np.sign(re)
+        flips = pair_ok & (signs[:-1] * signs[1:] < 0)
+        starts = np.flatnonzero(at_zero | flips)
         at_zero = at_zero[starts]
         ends = np.where(at_zero, starts, starts + 1)
         sign = starts[~at_zero]
@@ -334,10 +338,11 @@ def _mode_source(st: StackedStructure, fails: PointFailures,
 
 
 def _fold_region(st: StackedStructure, variant: Variant,
-                 fails: PointFailures, modes_of) -> np.ndarray | None:
-    """H or E data (G, 2N, 2N) of the layers of ``st``, as the H/E
-    branches of :func:`structure_propagator` fold them; None once every
-    point has failed."""
+                 fails: PointFailures, modes_of,
+                 ends=None) -> np.ndarray | None:
+    """Data (G, 2N, 2N) of the layers of ``st`` folded under ``variant``
+    as :func:`structure_propagator` folds them, the S fold between the
+    half-space keys ``ends``; None once every point has failed."""
     layers = [(key, d) for key, d in st.layers if d > 0.0]
     if not layers and variant is Variant.E:
         fails.add(np.ones(st.g, dtype=bool), lambda i: IllConditionedError(
@@ -345,8 +350,10 @@ def _fold_region(st: StackedStructure, variant: Variant,
     if fails.all_failed:
         return None
     if layers:
-        return fold_stack(layers, variant, modes_of, fails)[0]
-    return np.tile(antidiagonal_identity(st.n).data, (st.g, 1, 1))
+        return fold_stack(layers, variant, modes_of, fails, ends=ends)[0]
+    empty = (np.eye(2 * st.n, dtype=complex) if variant is Variant.T
+             else antidiagonal_identity(st.n).data)
+    return np.tile(empty, (st.g, 1, 1))
 
 
 def _det_live(m: np.ndarray, fails: PointFailures) -> np.ndarray:
@@ -464,22 +471,41 @@ def periodic_dispersion_stack(st: StackedStructure, variant: Variant | str,
                               modes: dict | None = None) -> np.ndarray:
     """Bloch secular residuals of G bound periods at one q, shape (G,).
 
-    The stacked form of the H and E branches of
-    :func:`periodic_dispersion`: the period's H or E matrix is folded
-    for all points at once. ``modes`` maps media keys to known
+    The residual of the Bloch condition F(z+d) = F(z) e^{iqd} in the
+    determinant form of the chosen variant, with the period's T, H, E or
+    S matrix folded for all points at once. A T determinant past the
+    double range comes back inf or NaN, without a floating-point
+    warning. The S form folds between, and expands the boundary values
+    in the reduced bases of, the media that flank the period boundaries
+    under periodic continuation (the last layer's medium on the left,
+    the first layer's on the right). ``modes`` maps media keys to known
     :class:`ModeStack` objects; a point that fails anywhere (mode solve,
-    single layer, fold, the H11 solve) is recorded in ``fails`` and its
-    value is NaN.
+    single layer, fold, a secular solve) is recorded in ``fails`` and
+    its value is NaN.
     """
     variant = Variant(variant)
-    if variant not in (Variant.H, Variant.E):
+    if variant not in (Variant.T, Variant.H, Variant.E, Variant.S):
         raise VariantError(
-            f"stacked periodic dispersion supports H or E, got {variant}")
+            f"periodic dispersion supports T/H/E/S, got {variant}")
     n = st.n
     phase = cmath.exp(1j * q * float(sum(d for _, d in st.layers)))
-    inner = _fold_region(st, variant, fails, _mode_source(st, fails, modes))
+    modes_of = _mode_source(st, fails, modes)
+    keys = [key for key, d in st.layers if d > 0.0]
+    ends = (keys[-1], keys[0]) if keys else None
+    if variant is Variant.S and not keys:
+        fails.add(np.ones(st.g, dtype=bool), lambda i: ModelingError(
+            "periodic S form needs a non-empty period"))
+    inner = _fold_region(st, variant, fails, modes_of, ends)
     if inner is None:
         return np.full(st.g, np.nan, dtype=complex)
+    if variant is Variant.T:
+        # a finite T can have a determinant past the double range; it
+        # comes back inf or NaN, which scan_and_refine never brackets
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _det_live(inner - np.eye(2 * n) * phase, fails)
+    if variant is Variant.S:
+        return _s_form_residual(inner, *(mode_matrix(modes_of(key))
+                                         for key in ends), phase, fails)
     b11, b12 = inner[:, :n, :n], inner[:, :n, n:]
     b21, b22 = inner[:, n:, :n], inner[:, n:, n:]
     eye = np.eye(n, dtype=complex)
@@ -495,81 +521,38 @@ def periodic_dispersion_stack(st: StackedStructure, variant: Variant | str,
     return _det_live(secular, fails)
 
 
+def _s_form_residual(s: np.ndarray, ql: np.ndarray, qr: np.ndarray,
+                     phase: complex, fails: PointFailures) -> np.ndarray:
+    """det of the S-form Bloch secular matrices of a (G, 2N, 2N) S stack
+    for the given end-domain bases."""
+    n = s.shape[-1] // 2
+    s11, s12, s21, s22 = s[:, :n, :n], s[:, :n, n:], s[:, n:, :n], s[:, n:, n:]
+    ql11, ql12 = ql[:, :n, :n], ql[:, :n, n:]
+    ql21, ql22 = ql[:, n:, :n], ql[:, n:, n:]
+    qr11, qr12 = qr[:, :n, :n], qr[:, :n, n:]
+    qr21, qr22 = qr[:, n:, :n], qr[:, n:, n:]
+    m1 = solve_stack(qr11 @ s21 - ql11 * phase - ql12 @ s11 * phase,
+                     ql12 @ s12 * phase - qr11 @ s22 - qr12, fails,
+                     "S-form row-1 factor")
+    m2 = solve_stack(qr21 @ s21 - ql21 * phase - ql22 @ s11 * phase,
+                     ql22 @ s12 * phase - qr21 @ s22 - qr22, fails,
+                     "S-form row-2 factor")
+    return _det_live(m1 - m2, fails)
+
+
 def periodic_dispersion(period: LayeredStructure, variant: Variant | str,
                         q: float, bases: dict | None = None) -> complex:
     """Secular residual of the Bloch condition F(z+d) = F(z) e^{iqd}.
 
-    Evaluates the determinant form of the chosen variant. The H and E
-    forms are the G = 1 case of :func:`periodic_dispersion_stack`;
-    failures raise. The T and S forms are evaluated here, one point at a
-    time; a T determinant past the double range is returned as inf or
-    NaN, without a floating-point warning. The S form expands the
-    boundary values in the reduced bases of the media that flank the
-    period boundaries under periodic continuation (the last layer's
-    medium on the left, the first layer's on the right).
+    The G = 1 case of :func:`periodic_dispersion_stack`, which describes
+    the four determinant forms; failures raise.
     """
-    variant = Variant(variant)
-    if variant in (Variant.H, Variant.E):
-        fails = PointFailures(1)
-        value = periodic_dispersion_stack(
-            StackedStructure.of(period), variant, q, fails,
-            {m: basis.stack for m, basis in (bases or {}).items()})
-        fails.raise_first()
-        return complex(value[0])
-
-    d = period.total_thickness
-    phase = cmath.exp(1j * q * d)
-    n = period.n
-    cache = dict(bases or {})
-
-    if variant is Variant.T:
-        t, _ = structure_propagator(period, Variant.T, cache)
-        # a finite T can have a determinant past the double range; it
-        # comes back inf or NaN, which scan_and_refine never brackets
-        with np.errstate(over="ignore", invalid="ignore"):
-            return complex(np.linalg.det(t.data - np.eye(2 * n) * phase))
-
-    if variant is not Variant.S:
-        raise VariantError(f"periodic dispersion supports T/H/E/S, got {variant}")
-
-    layers = [ly for ly in period.layers if ly.thickness > 0]
-    if not layers:
-        raise ModelingError("periodic S form needs a non-empty period")
-    left_medium = layers[-1].medium
-    right_medium = layers[0].medium
-    pseudo = LayeredStructure(left=left_medium, layers=tuple(layers),
-                              right=right_medium)
-    s_mat, _ = structure_propagator(pseudo, Variant.S, cache)
-
-    def basis_of(m: MslCoefficients) -> ModeBasis:
-        if m not in cache:
-            cache[m] = solve_qep(m)
-        return cache[m]
-
-    bl = basis_of(left_medium)
-    br = basis_of(right_medium)
-    ql = np.vstack([np.hstack([bl.f0_plus, bl.f0_minus]),
-                    np.hstack([bl.a0_plus, bl.a0_minus])])
-    qr = np.vstack([np.hstack([br.f0_plus, br.f0_minus]),
-                    np.hstack([br.a0_plus, br.a0_minus])])
-    return _s_form_residual(s_mat, ql, qr, phase, n)
-
-
-def _s_form_residual(s_mat: BlockMatrix, ql: np.ndarray, qr: np.ndarray,
-                     phase: complex, n: int) -> complex:
-    """det of the S-form Bloch secular matrix for given end-domain bases."""
-    s11, s12, s21, s22 = s_mat.b11, s_mat.b12, s_mat.b21, s_mat.b22
-    ql11, ql12 = ql[:n, :n], ql[:n, n:]
-    ql21, ql22 = ql[n:, :n], ql[n:, n:]
-    qr11, qr12 = qr[:n, :n], qr[:n, n:]
-    qr21, qr22 = qr[n:, :n], qr[n:, n:]
-    m1 = solve_checked(qr11 @ s21 - ql11 * phase - ql12 @ s11 * phase,
-                       ql12 @ s12 * phase - qr11 @ s22 - qr12,
-                       "S-form row-1 factor")
-    m2 = solve_checked(qr21 @ s21 - ql21 * phase - ql22 @ s11 * phase,
-                       ql22 @ s12 * phase - qr21 @ s22 - qr22,
-                       "S-form row-2 factor")
-    return complex(np.linalg.det(m1 - m2))
+    fails = PointFailures(1)
+    value = periodic_dispersion_stack(
+        StackedStructure.of(period), variant, q, fails,
+        {m: basis.stack for m, basis in (bases or {}).items()})
+    fails.raise_first()
+    return complex(value[0])
 
 
 @dataclass(frozen=True)
@@ -599,38 +582,33 @@ def kronig_penney_residuals(well: QuantumLayer, barrier: QuantumLayer,
         E:  2 cos(qd) E12 - (E22 - E11)
         S:  2 cos(qd) t   - (r (t s - S11 S22) + 1)
 
-    with r = k_B m_A / (k_A m_B). The S relation is evaluated in the
-    sine/cosine bases of the media flanking the period boundaries
-    (barrier on the left, well on the right); ``t`` is the left-to-right
-    transmission block and ``s`` the right-to-left one. Complex k_B
-    below the barrier is handled by analytic continuation of cos/sin.
+    with r = k_B m_A / (k_A m_B). The T, H and E entries come from one
+    fold of :func:`kronig_penney_period`'s two layers. The S relation is
+    evaluated in the sine/cosine bases of the media flanking the period
+    boundaries (barrier on the left, well on the right), from the
+    folded T; ``t`` is the left-to-right transmission block and ``s``
+    the right-to-left one. Complex k_B below the barrier is handled by
+    analytic continuation of cos/sin.
     """
     variant = Variant(variant)
+    if variant not in (Variant.T, Variant.H, Variant.E, Variant.S):
+        raise VariantError(f"Kronig-Penney supports T/H/E/S, got {variant}")
     h2 = hbar2_over_2
-    d = well.thickness + barrier.thickness
-    cos_qd = math.cos(q * d)
-    medium_a = make_quantum_medium(well.mass, well.potential, energy, h2)
-    medium_b = make_quantum_medium(barrier.mass, barrier.potential, energy, h2)
+    cos_qd = math.cos(q * (well.thickness + barrier.thickness))
+    st = StackedStructure.of(kronig_penney_period(well, barrier, energy, h2))
+    fails = PointFailures(1)
+    cell = fold_stack(list(st.layers),
+                      Variant.T if variant is Variant.S else variant,
+                      _mode_source(st, fails, None), fails)[0][0]
+    fails.raise_first()
+    (x11, x12), (x21, x22) = cell
 
     if variant is Variant.T:
-        t = compose_t(t_single(medium_b, barrier.thickness),
-                      t_single(medium_a, well.thickness))
-        return complex(cos_qd - 0.5 * (t.b11[0, 0] + t.b22[0, 0]))
-
+        return complex(cos_qd - 0.5 * (x11 + x22))
     if variant is Variant.H:
-        h = compose_h(h_single_stable(medium_a, well.thickness),
-                      h_single_stable(medium_b, barrier.thickness))
-        h11, h12, h22 = h.b11[0, 0], h.b12[0, 0], h.b22[0, 0]
-        return complex(2 * cos_qd * h12 - (1 - h11 * h22 + h12 ** 2))
-
+        return complex(2 * cos_qd * x12 - (1 - x11 * x22 + x12 ** 2))
     if variant is Variant.E:
-        e = compose_e(e_single_stable(medium_a, well.thickness),
-                      e_single_stable(medium_b, barrier.thickness))
-        e11, e12, e22 = e.b11[0, 0], e.b12[0, 0], e.b22[0, 0]
-        return complex(2 * cos_qd * e12 - (e22 - e11))
-
-    if variant is not Variant.S:
-        raise VariantError(f"Kronig-Penney supports T/H/E/S, got {variant}")
+        return complex(2 * cos_qd * x12 - (x22 - x11))
 
     k_a = _wavenumber(well, energy, h2)
     k_b = _wavenumber(barrier, energy, h2)
@@ -640,9 +618,7 @@ def kronig_penney_residuals(well: QuantumLayer, barrier: QuantumLayer,
                                              dtype=complex))
     q_right = BlockMatrix(Variant.Q, np.array([[1.0, 0.0], [0.0, beta_a]],
                                               dtype=complex))
-    t = compose_t(t_single(medium_b, barrier.thickness),
-                  t_single(medium_a, well.thickness))
-    s = s_from_k(k_matrix(q_right, t, q_left))
+    s = s_from_k(k_matrix(q_right, BlockMatrix(Variant.T, cell), q_left))
     s11, s12 = s.b11[0, 0], s.b12[0, 0]
     s21, s22 = s.b21[0, 0], s.b22[0, 0]
     ratio = (k_b * well.mass) / (k_a * barrier.mass)
@@ -733,64 +709,59 @@ def band_scans(period: StructureDefinition, q_grid, e_range,
     """The energy scan of the periodic dispersion at every q of
     ``q_grid``, on ``e_count`` energies spanning ``e_range``.
 
-    H and E are evaluated in blocks of SCAN_BLOCK energies through
-    :func:`periodic_dispersion_stack`; T and S call
-    :func:`periodic_dispersion` one energy at a time. Each scan's
-    ``masked`` array marks the grid energies where the evaluation
-    failed.
+    Every variant is evaluated in blocks of SCAN_BLOCK energies through
+    :func:`periodic_dispersion_stack`. Each scan's ``masked`` array marks
+    the grid energies where the evaluation failed.
     """
     variant = Variant(variant)
     e_grid = np.linspace(float(e_range[0]), float(e_range[1]), e_count)
 
     def scan_at(q: float) -> SecularScan:
-        if variant in (Variant.H, Variant.E):
-            func = _bound_stacked(
-                period, lambda energies: {"energy": energies},
-                lambda st, fails: periodic_dispersion_stack(st, variant, q,
-                                                            fails))
-        else:
-            def func(energy: float) -> complex:
-                return periodic_dispersion(period.bind(energy=energy),
-                                           variant, q)
+        func = _bound_stacked(
+            period, lambda energies: {"energy": energies},
+            lambda st, fails: periodic_dispersion_stack(st, variant, q, fails))
         return scan_and_refine(func, e_grid, tol=tol, param_name="energy")
 
     return [scan_at(float(q)) for q in np.asarray(q_grid, dtype=float)]
 
 
 def connect_bands(q_grid, scans) -> list[Band]:
-    """Join the roots of per-q scans into branches by nearest-neighbor
-    continuity in E.
+    """Join the roots of per-q scans into branches by continuity in E.
 
-    Each open branch takes the unmatched root nearest its last E. A
-    discontinuity marks a join that may be wrong: the q index at which
-    another open branch's predicted E lies closer to the joined root
-    than this branch's own prediction does. A branch predicts its E at
-    the new q by linear extrapolation from its last two points, or as
-    its last E when it has only one.
+    At each q the open branches and the roots are matched one to one so
+    that the summed distance |E_root - E_predicted| is least (an
+    assignment, not a greedy pass); a branch left without a root closes,
+    and a root left without a branch opens a new one. A branch predicts
+    its E at the new q by linear extrapolation from its last two points,
+    or as its last E when it has only one. A discontinuity marks a join
+    that may be wrong: the q index at which another open branch's
+    predicted E lies closer to the joined root than this branch's own
+    prediction does.
     """
     bands: list[dict] = []
     open_bands: list[dict] = []
     for iq, (q, scan) in enumerate(zip(np.asarray(q_grid, dtype=float),
                                        scans)):
-        unmatched = [(r.value, r.residual) for r in scan.roots]
-        next_open: list[dict] = []
+        roots = [(r.value, r.residual) for r in scan.roots]
         predicted = [_predict_energy(band["points"], q) for band in open_bands]
-        for band, own_pred in zip(open_bands, predicted):
-            prev_e = band["points"][-1][1]
-            if unmatched:
-                best = min(range(len(unmatched)),
-                           key=lambda i: abs(unmatched[i][0] - prev_e))
-                e_val, res = unmatched.pop(best)
-                own = abs(e_val - own_pred)
-                if any(abs(e_val - p) < own for p in predicted):
-                    band["disc"].append(iq)
-                band["points"].append((float(q), float(e_val), float(res)))
-                next_open.append(band)
-        for e_val, res in unmatched:
-            band = {"id": len(bands), "points": [(float(q), float(e_val),
-                                                  float(res))], "disc": []}
-            bands.append(band)
+        cost = np.abs(np.array([e for e, _ in roots])[None, :]
+                      - np.array(predicted)[:, None])
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        next_open: list[dict] = []
+        for i, j in zip(rows, cols):
+            band, (e_val, res) = open_bands[i], roots[j]
+            own = abs(e_val - predicted[i])
+            if any(abs(e_val - p) < own for p in predicted):
+                band["disc"].append(iq)
+            band["points"].append((float(q), float(e_val), float(res)))
             next_open.append(band)
+        taken = set(cols.tolist())
+        for j, (e_val, res) in enumerate(roots):
+            if j not in taken:
+                band = {"id": len(bands), "points": [(float(q), float(e_val),
+                                                      float(res))], "disc": []}
+                bands.append(band)
+                next_open.append(band)
         open_bands = next_open
 
     return [Band(branch=band["id"], points=tuple(band["points"]),
@@ -802,10 +773,10 @@ def band_structure(period: StructureDefinition, q_grid, e_range,
                    variant: Variant | str = Variant.H,
                    e_count: int = 600, tol: float = 1e-10) -> list[Band]:
     """Roots of the periodic dispersion over a (q, E) window, connected
-    into branches by nearest-neighbor continuity in E.
+    into branches by continuity in E.
 
-    The roots come from :func:`band_scans` (H and E stacked over blocks
-    of energies, T and S one energy at a time) and are joined by
+    The roots come from :func:`band_scans` (every variant stacked over
+    blocks of energies) and are joined by
     :func:`connect_bands`, whose docstring gives the joining rule and
     what a discontinuity flag marks.
     """

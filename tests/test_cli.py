@@ -117,15 +117,28 @@ def test_cli_bands_overflow_rows_name_masked_scans(tmp_path, fmt):
     assert split_rows(h_rows)[1] == []
 
 
-def test_t_band_scan_brackets_only_finite_values():
+# the 250-thick barrier of THICK, heavier (m = 1.3) and after a wider
+# well (d = 1.1): its T scan has inf next to exact 0.0 values
+HEAVY_DOC = {"materials": {"a": {"kind": "quantum", "mass": 1.0,
+                                 "potential": 0.0},
+                           "b": {"kind": "quantum", "mass": 1.3,
+                                 "potential": 10.0}},
+             "left": "b", "right": "a",
+             "layers": [{"material": "a", "thickness": 1.1},
+                        {"material": "b", "thickness": THICK[0]}]}
+
+
+@pytest.mark.parametrize("doc,q", [(kp_doc(THICK[0]), 0.3), (HEAVY_DOC, 0.7)],
+                         ids=["thick", "heavy"])
+def test_t_band_scan_brackets_only_finite_values(doc, q):
     # above E = 3.28 the T matrix of the 250-thick barrier is finite but
     # its Bloch determinant leaves the double range; such values must
     # not bracket roots (the T scan once returned 303 roots here, where
     # H finds one) and must raise no floating-point warning
-    defn = parse_structure(json.dumps(kp_doc(THICK[0])))
+    defn = parse_structure(json.dumps(doc))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        scan, = band_scans(defn, [0.3], (0.05, 8.0), Variant.T)
+        scan, = band_scans(defn, [q], (0.05, 8.0), Variant.T)
     assert not np.isfinite(scan.values[~scan.masked]).all()
     ends = np.searchsorted(scan.grid, np.array(scan.brackets).reshape(-1))
     assert np.isfinite(scan.values[ends]).all()

@@ -12,8 +12,10 @@ from mslwave import (BlockMatrix, IllConditionedError, Layer,
                      s_from_k, s_identity, solve_qep, star_product,
                      structure_propagator, t_single,
                      variant_comparison_report)
-from mslwave.compose import _compose_e_traced, fold_stack
+from mslwave.compose import _compose_traced, fold_stack
 from mslwave.errors import PointFailures
+from mslwave.media import MediumStack
+from mslwave.qep import solve_qep_stack
 from conftest import random_partitionable_medium
 
 EVANESCENT = make_scalar_medium(1, 0, 0, -1)
@@ -104,7 +106,7 @@ def test_compose_e_matches_t_route(rng):
 def test_compose_e_thin_layer_inner_norm_reported():
     d = 1e-10
     e_thin = e_single_stable(EVANESCENT, d)
-    _, step = _compose_e_traced(e_thin, e_thin, 0)
+    _, step = _compose_traced(Variant.E, e_thin, e_thin, 0)
     # inner factor is E^rest_11 - E^m_22 ~ -2/d for thin evanescent layers
     assert step.factor_norm > 1e10
 
@@ -334,3 +336,26 @@ def test_fold_stack_matches_single_points_random_media(rng, n):
     for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
         assert_fold_matches_points(media[0], media[1:2], single, media[4],
                                    variant)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fold_stack_matches_single_points_per_point_media(rng, n):
+    # every point draws its own media, so the S interfaces differ from
+    # point to point
+    g, keys = 6, ("left", "a", "b", "right")
+    draws = [[random_partitionable_medium(rng, n)[0] for _ in keys]
+             for _ in range(g)]
+    layers = [("a", 0.7), ("b", 1.3)]
+    for variant in (Variant.S, Variant.T, Variant.H, Variant.E):
+        fails = PointFailures(g)
+        modes = {key: solve_qep_stack(MediumStack(*(
+            np.stack([getattr(point[j], c) for point in draws])
+            for c in "bpyw")), fails) for j, key in enumerate(keys)}
+        data, _, _ = fold_stack(layers, variant, modes.__getitem__, fails,
+                                ends=("left", "right"))
+        assert not fails.failed.any()
+        for i, (left, a, b, right) in enumerate(draws):
+            s = LayeredStructure(left=left, right=right, layers=tuple(
+                Layer(m, d) for m, (_, d) in zip((a, b), layers)))
+            want, _ = structure_propagator(s, variant)
+            np.testing.assert_allclose(data[i], want.data, rtol=1e-12, atol=0)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 
@@ -6,13 +7,15 @@ import numpy as np
 import pytest
 
 from mslwave import (Layer, LayeredStructure, ModelingError, ModelingWarning,
-                     MslError, QuantumLayer, Variant, band_structure,
-                     escape_energy_scan, escape_secular, finite_well_oracle,
+                     MslError, QuantumLayer, Variant, band_scans,
+                     band_structure, connect_bands, escape_energy_scan,
+                     escape_secular, finite_well_oracle,
                      kronig_penney_period, kronig_penney_residuals,
                      make_quantum_medium, parse_structure, periodic_dispersion,
                      scan_and_refine, sh_wave_speeds, solve_qep,
                      structure_propagator)
-from mslwave.errors import IllConditionedError, PointFailures
+from mslwave.errors import (IllConditionedError, MatrixOverflowError,
+                            PointFailures)
 from mslwave.media import MediumStack, StackedStructure
 from mslwave.solvers import (SCAN_BLOCK, escape_secular_stack,
                              periodic_dispersion_stack)
@@ -348,6 +351,24 @@ def test_band_structure_flags_join_across_window_edge():
     assert ends == {(34.612, 22.879): (), (44.665, 2.25): (1,)}
 
 
+def test_connect_bands_keeps_branches_across_a_missed_root():
+    # without the q**2 root at q = 1.5 a greedy join sent branch 0 down
+    # the (q - 2 pi)**2 band; the assignment keeps every branch on one
+    q_grid = np.linspace(0.4, 2.6, 5)
+    scans = band_scans(FREE_DEFN, q_grid, (0.05, 55.0), Variant.H,
+                       e_count=700, tol=1e-12)
+    kept = tuple(r for r in scans[2].roots if abs(r.value - 1.5 ** 2) > 1e-6)
+    assert len(kept) == len(scans[2].roots) - 1
+    scans[2] = dataclasses.replace(scans[2], roots=kept)
+
+    def band_index(q, e):
+        return min(range(-3, 4),
+                   key=lambda n: abs(e - (q + 2 * math.pi * n) ** 2))
+
+    for band in connect_bands(q_grid, scans):
+        assert len({band_index(q, e) for q, e, _ in band.points}) == 1
+
+
 def test_band_structure_kp_edges_match_oracle():
     defn = quantum_defn({"a": (1.0, 0.0), "b": (1.0, 10.0)}, "b", "a",
                         [("a", 1.0), ("b", 1.0)])
@@ -559,7 +580,8 @@ KP_DEFN = quantum_defn({"a": (1.0, 0.0), "b": (1.3, 10.0)}, "b", "a",
                        [("a", 1.1), ("b", 0.9)])
 
 
-@pytest.mark.parametrize("variant", [Variant.H, Variant.E])
+@pytest.mark.parametrize("variant", [Variant.H, Variant.E, Variant.T,
+                                     Variant.S])
 def test_periodic_dispersion_stack_matches_single_points_kp(variant):
     energies = np.linspace(0.05, 18.0, 2 * SCAN_BLOCK + 5)
     for q in (0.0, 0.7, math.pi / 2.0):
@@ -591,7 +613,7 @@ def random_periods(rng, n, g, **kwargs):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_periodic_dispersion_stack_matches_single_points_random_media(rng, n):
     st, periods = random_periods(rng, n, 2 * SCAN_BLOCK)
-    for variant in (Variant.H, Variant.E):
+    for variant in (Variant.H, Variant.E, Variant.T, Variant.S):
         assert_same_dispersion(st, periods, variant, 0.8)
 
 
@@ -601,6 +623,28 @@ def test_periodic_dispersion_stack_mixed_block_keeps_typed_errors(rng, n):
     # the block mixes failed and live points; a failed point carries the
     # error the single-point call raises
     st, periods = random_periods(rng, n, 2 * SCAN_BLOCK, p_scale=2.0)
-    for variant in (Variant.H, Variant.E):
+    for variant in (Variant.H, Variant.E, Variant.T, Variant.S):
         fails = assert_same_dispersion(st, periods, variant, 1.3)
         assert fails.failed.any() and not fails.failed.all()
+
+
+
+def test_periodic_dispersion_stack_t_masks_points_in_mixed_blocks():
+    # kappa_B b leaves the double range below E = 3.28, so the T fold of
+    # the 250-thick barrier fails below it and lives above it, within
+    # one block; the stable forms fail nowhere
+    defn = quantum_defn({"a": (1.0, 0.0), "b": (1.2, 10.0)}, "b", "a",
+                        [("a", 1.0), ("b", 250.0)])
+    energies = np.linspace(3.0, 3.6, 2 * SCAN_BLOCK + 5)
+    periods = [defn.bind(energy=e) for e in energies]
+    fails = {}
+    for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
+        st = defn.bind_stack(PointFailures(len(energies)), energy=energies)
+        fails[variant] = assert_same_dispersion(st, periods, variant, 0.3)
+    t_fails = fails.pop(Variant.T)
+    assert not any(f.failed.any() for f in fails.values())
+    np.testing.assert_array_equal(t_fails.failed, energies < 3.28)
+    assert all(type(exc) is MatrixOverflowError and exc.layer_index == 1
+               for exc in t_fails.errors.values())
+    blocks = t_fails.failed[:2 * SCAN_BLOCK].reshape(-1, SCAN_BLOCK)
+    assert np.any(np.any(blocks, axis=1) & ~np.all(blocks, axis=1))
