@@ -498,7 +498,8 @@ def s_from_k_stack(k: np.ndarray, fails: PointFailures) -> np.ndarray:
     k11, k12, k21, k22 = k[:, :n, :n], k[:, :n, n:], k[:, n:, :n], k[:, n:, n:]
     k22_inv_k21 = solve_stack(k22, k21, fails, "K22")
     eye = np.broadcast_to(np.eye(n, dtype=complex), k22.shape)
-    return _assemble(Variant.S, -k22_inv_k21, solve_stack(k22, eye, fails, "K22"),
+    return _assemble(Variant.S, -k22_inv_k21,
+                     solve_stack(k22, eye, fails, "K22"),
                      k11 - k12 @ k22_inv_k21,
                      right_solve_stack(k22, k12, fails, "K22"), fails)
 
