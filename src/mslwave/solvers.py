@@ -10,7 +10,9 @@ The escape, SH-wave and band scans evaluate their secular determinant
 over blocks of SCAN_BLOCK parameter points at once through the stacked
 kernels (:func:`escape_secular_stack`, :func:`periodic_dispersion_stack`,
 the latter in all four variants); :func:`scan_and_refine` refines all
-brackets of a scan in lockstep, so refinement runs in blocks too. The
+brackets of a scan in lockstep, so refinement runs in blocks too: sign
+changes by Illinois regula falsi, which drops pole and jump crossings
+after a few rounds, and minima of |f| by golden section. The
 Kronig-Penney residuals apply the paper's scalar relations to one
 two-layer fold.
 """
@@ -45,8 +47,17 @@ ROOT_RESIDUAL_RFRAC = 1e-3
 # per-call overhead but raise a scan's peak memory; see CHANGES.md for
 # the measurement behind the choice.
 SCAN_BLOCK = 8
-# Iteration cap of the bisection and golden-section refiners.
+# Iteration cap of the Illinois and golden-section refiners.
 _MAX_REFINE = 4096
+# The Illinois refiner bisects a bracket that this many rounds failed to
+# halve, so a bracket halves at least once in every this many + 1 rounds.
+_HALVING_ROUNDS = 3
+# The Illinois refiner drops a sign-change bracket as a pole or a jump
+# crossing once it has shrunk to _CROSSING_SHRINK of its grid cell while
+# its |f| per unit width has grown past _CROSSING_SLOPE times the cell's
+# (and two more tests hold; see _illinois_all).
+_CROSSING_SHRINK = 1.0 / 64.0
+_CROSSING_SLOPE = 8.0
 
 
 class ModelingWarning(UserWarning):
@@ -165,37 +176,96 @@ def _evaluate(evaluate, xs) -> tuple[np.ndarray, np.ndarray]:
     return values, masked
 
 
-def _bisect_all(evaluate, lo, hi, flo, tol: float):
-    """Bisection on the real part of every bracket, in lockstep.
+def _illinois_all(evaluate, lo, hi, flo, fhi, tol: float):
+    """Illinois regula falsi on the real part of every bracket, in lockstep.
 
-    Each round evaluates the midpoints of all unfinished brackets at
-    once. Returns (x, fx): x is NaN where an evaluation inside the
-    bracket was masked; fx is the value at x when it was met exactly
-    (a zero midpoint) and NaN when x still needs evaluating.
+    ``flo`` and ``fhi`` are the real values at the ends, of opposite
+    signs. Each round evaluates one point inside every unfinished
+    bracket at once: the secant point of the two end values, where the
+    value of an end kept twice in a row is halved (Illinois), or the
+    midpoint when the last _HALVING_ROUNDS rounds failed to halve the
+    bracket or the last step's |f| rose over that of the end it
+    replaced. Steps stay tol/2 inside the ends, so a bracket closes under
+    ``hi - lo <= tol``.
+
+    Close to a simple zero a step only lowers |f|, and the ends' |f|
+    shrinks with the bracket. A bracket is a pole or a jump crossing,
+    not a zero, and is dropped, once it has shrunk to _CROSSING_SHRINK
+    of its grid cell and
+    - its last step raised |f|,
+    - its ends' smaller |f| exceeds the smaller |f| at its grid ends,
+      which no f monotone in the cell allows, and
+    - its ends' summed |f| per unit width exceeds _CROSSING_SLOPE times
+      that of its grid ends, which no zero does whose slope is less
+      steep than that multiple of the cell's secant slope.
+
+    Returns (x, fx): x is NaN where an evaluation inside the bracket was
+    masked or the bracket was dropped; fx is the value at x when it was
+    met exactly (a zero step) and NaN when x still needs evaluating.
     """
-    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
-    x = np.full(len(lo), np.nan)
-    fx = np.full(len(lo), np.nan, dtype=complex)
-    active = np.ones(len(lo), dtype=bool)
+    lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
+    n = len(lo)
+    lo_neg = flo < 0.0
+    # true |f| at the ends; flo and fhi carry the Illinois-scaled values
+    alo, ahi = np.abs(flo), np.abs(fhi)
+    cell_floor = np.minimum(alo, ahi)
+    # near the double range the slopes overflow to inf, which keeps a
+    # bracket whose grid ends are huge and drops one whose own ends are
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell_slope = (alo + ahi) / (hi - lo)
+    crossing_width = _CROSSING_SHRINK * (hi - lo)
+    # the end the last step replaced: -1 lo, +1 hi, 0 none yet
+    last = np.zeros(n, dtype=np.int8)
+    rose = np.zeros(n, dtype=bool)
+    bisect = np.zeros(n, dtype=bool)
+    # bracket widths of the last _HALVING_ROUNDS rounds, oldest first
+    widths = [hi - lo] * _HALVING_ROUNDS
+    x = np.full(n, np.nan)
+    fx = np.full(n, np.nan, dtype=complex)
+    active = np.ones(n, dtype=bool)
     for _ in range(_MAX_REFINE):
-        done = active & (hi - lo <= tol)
+        width = hi - lo
+        done = active & (width <= tol)
         x[done] = 0.5 * (lo[done] + hi[done])
         active &= ~done
+        with np.errstate(over="ignore", invalid="ignore"):
+            active &= ~(rose & (width <= crossing_width)
+                        & (np.minimum(alo, ahi) > cell_floor)
+                        & (alo + ahi > _CROSSING_SLOPE * cell_slope * width))
         idx = np.flatnonzero(active)
         if not len(idx):
             break
-        mid = 0.5 * (lo[idx] + hi[idx])
-        f, masked = _evaluate(evaluate, mid)
+        a, b = lo[idx], hi[idx]
+        # scaled to the larger end value, so the difference cannot
+        # overflow; ua - ub has magnitude at least 1
+        big = np.maximum(np.abs(flo[idx]), np.abs(fhi[idx]))
+        ua, ub = flo[idx] / big, fhi[idx] / big
+        step = np.where(bisect[idx], 0.5 * (a + b),
+                        a + ua / (ua - ub) * (b - a))
+        step = np.minimum(np.maximum(step, a + 0.5 * tol), b - 0.5 * tol)
+        f, masked = _evaluate(evaluate, step)
         masked |= ~np.isfinite(f)
-        fmid = f.real
-        zero = ~masked & (fmid == 0.0)
-        x[idx[zero]] = mid[zero]
+        fs = f.real
+        zero = ~masked & (fs == 0.0)
+        x[idx[zero]] = step[zero]
         fx[idx[zero]] = f[zero]
         active[idx[masked | zero]] = False
-        same = ~masked & ~zero & ((flo[idx] < 0.0) == (fmid < 0.0))
-        other = ~masked & ~zero & ~same
-        lo[idx[same]], flo[idx[same]] = mid[same], fmid[same]
-        hi[idx[other]] = mid[other]
+        moved = ~masked & ~zero
+        on_lo = moved & (lo_neg[idx] == (fs < 0.0))
+        on_hi = moved & ~on_lo
+        il, ih = idx[on_lo], idx[on_hi]
+        afs = np.abs(fs)
+        rose[idx] = np.where(on_lo, afs > alo[idx], afs > ahi[idx])
+        # Illinois: an end kept for the second round running has its
+        # value halved
+        fhi[il[last[il] == -1]] *= 0.5
+        flo[ih[last[ih] == 1]] *= 0.5
+        lo[il], flo[il], alo[il] = step[on_lo], fs[on_lo], afs[on_lo]
+        hi[ih], fhi[ih], ahi[ih] = step[on_hi], fs[on_hi], afs[on_hi]
+        last[il], last[ih] = -1, 1
+        widths.append(hi - lo)
+        bisect[idx] = rose[idx] | (widths[-1][idx]
+                                   > 0.5 * widths.pop(0)[idx])
     x[active] = 0.5 * (lo[active] + hi[active])
     return x, fx
 
@@ -248,10 +318,12 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
     never span masked points, and never end at a non-finite value
     (refinement treats one as masked). When the sampled values are real
     up to noise the zeros are bracketed by sign changes and refined by
-    bisection; otherwise local minima of |f| are refined by golden
-    section. Refined candidates whose residual stays a sizable fraction
-    of the scan's typical magnitude are pole crossings or shallow dips,
-    not roots, and are dropped.
+    Illinois regula falsi, which gives up early on a bracket whose |f|
+    does not fall as it shrinks (a pole or a jump); otherwise local
+    minima of |f| are refined by golden section. Refined candidates
+    whose residual stays a sizable fraction of the scan's typical
+    magnitude are pole crossings or shallow dips, not roots, and are
+    dropped.
 
     The grid is evaluated in blocks of SCAN_BLOCK points and all brackets
     are refined in lockstep, one block evaluation per round for all of
@@ -299,8 +371,8 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
         sign = starts[~at_zero]
         x = grid[starts]
         res = np.abs(values[starts])
-        xs, fx = _bisect_all(evaluate, grid[sign], grid[sign + 1],
-                             re[sign], tol)
+        xs, fx = _illinois_all(evaluate, grid[sign], grid[sign + 1],
+                               re[sign], re[sign + 1], tol)
         need = np.isnan(fx) & ~np.isnan(xs)
         f, f_masked = _evaluate(evaluate, xs[need])
         fx[need] = np.where(f_masked, np.nan, f)

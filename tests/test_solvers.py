@@ -3,8 +3,11 @@ import dataclasses
 import json
 import math
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mslwave import (Layer, LayeredStructure, ModelingError, ModelingWarning,
                      MslError, QuantumLayer, Variant, band_scans,
@@ -57,9 +60,9 @@ def test_scan_simple_quadratic_root():
 
 
 def test_scan_refiner_reuses_grid_values():
-    # each evaluation is a grid point, a bisection midpoint or the one
-    # accepting evaluation of the refined root; the bracket's left end
-    # comes from the grid
+    # each evaluation is a grid point, a refinement point strictly inside
+    # the bracket or the one accepting evaluation of the refined root;
+    # the bracket's end values come from the grid
     calls = []
 
     def f(x):
@@ -68,16 +71,90 @@ def test_scan_refiner_reuses_grid_values():
 
     grid = np.linspace(0.0, 2.0, 41)
     scan = scan_and_refine(f, grid, tol=1e-12)
-    assert [r.value for r in scan.roots] == [1.4142135623729701]
+    (root,) = scan.roots
+    assert root.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    lo, hi = root.bracket
+    refine = calls[len(grid):-1]
+    assert calls[:len(grid)] == grid.tolist()
+    assert all(lo < x < hi for x in refine)
+    assert len(refine) <= 12
+    assert calls[-1] == root.value
+
+
+@pytest.mark.parametrize("p", [0.7314159, 1.2004, 1.6496])
+@pytest.mark.parametrize("f", [lambda x, p: 1.0 / (x - p),
+                               lambda x, p: math.copysign(1.0 + x, x - p)],
+                         ids=["pole", "jump"])
+def test_scan_drops_non_root_crossings_early(f, p):
+    # a pole or a jump flips the sign without a zero: its bracket is
+    # dropped once it has shrunk to 1/64 of its cell with |f| rising,
+    # long before it closes to tol (bisection takes 36 rounds)
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return complex(f(x, p))
+
+    grid = np.linspace(0.0, 2.0, 41)
+    scan = scan_and_refine(g, grid, tol=1e-12)
     (lo, hi), = scan.brackets
-    steps = 0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid * mid - 2.0 < 0.0 else (lo, mid)
-        steps += 1
-    assert steps == 36
-    assert len(calls) == len(grid) + steps + 1
-    assert calls[-1] == scan.roots[0].value
+    assert lo < p < hi
+    assert scan.roots == ()
+    assert len(calls) - len(grid) <= 12
+
+
+@pytest.mark.parametrize("f, r", [
+    # a root within 1e-3 of either grid end of its cell
+    (lambda x: math.expm1(x - 1.2004) * (2.0 + x), 1.2004),
+    (lambda x: math.expm1(x - 1.2496) * (2.0 + x), 1.2496),
+    # a steep root: |f| saturates at 1 over nearly all of the cell
+    (lambda x: math.tanh(1e4 * (x - 1.234567)), 1.234567),
+    # values near the double range must not overflow the crossing test
+    (lambda x: 1e308 * math.tanh(x - 1.234567), 1.234567),
+], ids=["near-lo", "near-hi", "steep", "huge"])
+def test_scan_keeps_roots_near_cell_ends_and_steep_roots(f, r):
+    tol = 1e-12
+    scan = scan_and_refine(lambda x: complex(f(x)), np.linspace(0.0, 2.0, 41),
+                           tol=tol)
+    (root,) = scan.roots
+    assert abs(root.value - r) <= tol
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(cells=st.lists(st.tuples(st.integers(0, 63),
+                                    st.floats(0.001, 0.999)),
+                          min_size=1, max_size=20,
+                          unique_by=lambda c: c[0]))
+# pairs of roots close across a grid point, which make |f| in a cell
+# rise and fall again, or both of its grid-end values small
+@hyp.example(cells=[(0, 0.6875), (1, 0.001)])
+@hyp.example(cells=[(0, 0.96875), (1, 0.001953125)])
+@hyp.example(cells=[(0, 0.015625), (1, 0.001953125)])
+def test_lockstep_refinement_matches_single_brackets_and_brentq(cells):
+    # up to 20 simple roots, at most one per cell: refining all brackets
+    # in lockstep, in blocks of SCAN_BLOCK, gives bit for bit the x of
+    # refining each bracket alone, and brentq's root within tol. The
+    # residual test is off: |f| of a degree-20 polynomial spans too many
+    # decades for a limit relative to its median, and only the refiner's
+    # drops are under test here.
+    tol = 1e-10
+    grid = np.linspace(0.0, 4.0, 65)
+    zeros = [grid[i] + u * (grid[i + 1] - grid[i]) for i, u in cells]
+
+    def f(x):
+        return complex(math.prod(x - z for z in zeros))
+
+    def scan(xs):
+        return scan_and_refine(f, xs, tol=tol, root_residual_rfrac=math.inf)
+
+    roots = scan(grid).roots
+    assert len(roots) == len(zeros)
+    for root in roots:
+        lo, hi = root.bracket
+        (alone,) = scan([lo, hi]).roots
+        assert alone.value == root.value
+        want = scipy.optimize.brentq(lambda x: f(x).real, lo, hi, xtol=1e-15)
+        assert abs(root.value - want) <= tol
 
 
 def test_scan_masks_error_points_and_skips_brackets():
@@ -197,6 +274,35 @@ def test_escape_count_matches_oracle_randomized(rng):
         assert len(scan.roots) == len(levels)
         matched += 1
     assert matched >= 9
+
+
+# Seed-601 instance-0 structure of the benchmark's escape workload: five
+# wells and five barriers between walls, scanned on the workload's grid.
+MULTIWELL_DEFN = quantum_defn(
+    {"wall": (1.0, 9.92206782480334), "well": (1.0, 0.0),
+     "barrier": (1.0, 7.847922190210106)}, "wall", "wall",
+    [("well", 1.310965429206454), ("barrier", 0.5477059052682248),
+     ("well", 1.120337558537338), ("barrier", 0.41197986137844156),
+     ("well", 1.2040056846946159), ("barrier", 0.5147189819280228),
+     ("well", 1.222180541988246), ("barrier", 0.4119011292474111),
+     ("well", 1.114783682489606), ("barrier", 0.4020786517954649)])
+MULTIWELL_GRID = np.linspace(0.05, 9.425964433563173, 400)
+
+
+def test_escape_multiwell_h_roots_are_e_roots_and_wall_jump_is_dropped():
+    scan_h = escape_energy_scan(MULTIWELL_DEFN, MULTIWELL_GRID, Variant.H)
+    roots_e = escape_energy_scan(MULTIWELL_DEFN, MULTIWELL_GRID,
+                                 Variant.E).root_values()
+    # E also finds 3.16328, which H misses: a pole shares its grid cell
+    assert scan_h.roots
+    for root in scan_h.root_values():
+        assert min(abs(root - e) for e in roots_e) <= 1e-8
+    # H's det Ms jumps between about +1.73 and -1.73 at E = V_wall - 1
+    # without a zero; that bracket must not give a root
+    (lo, hi), = [b for b in scan_h.brackets if b[0] < 8.92 < b[1]]
+    assert lo == pytest.approx(8.909, abs=1e-3)
+    assert hi == pytest.approx(8.932, abs=1e-3)
+    assert not [r for r in scan_h.root_values() if lo <= r <= hi]
 
 
 # --- periodic dispersion ----------------------------------------------------
