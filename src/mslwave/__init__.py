@@ -27,12 +27,11 @@ from .compose import (CompositionStep, CompositionTrace, compose_e,
                       compose_h, compose_t, interface_scattering,
                       propagation_scattering, s_identity, star_product,
                       structure_propagator)
-from .solvers import (Band, ModelingWarning, OutgoingBasis, QuantumLayer,
-                      RootRecord, SecularScan, band_scans, band_structure,
-                      connect_bands, escape_energy_scan, escape_secular,
-                      finite_well_oracle, kronig_penney_period,
-                      kronig_penney_residuals, periodic_dispersion,
-                      scan_and_refine, sh_wave_speeds)
+from .solvers import (Band, ModelingWarning, QuantumLayer, RootRecord,
+                      SecularScan, band_scans, band_structure, connect_bands,
+                      escape_energy_scan, escape_secular, finite_well_oracle,
+                      kronig_penney_period, kronig_penney_residuals,
+                      periodic_dispersion, scan_and_refine, sh_wave_speeds)
 from .structure_io import (StructureDefinition, load_structure,
                            parse_structure, serialize_structure)
 from .verify import (FirstOrderSystem, StabilityReport, default_c_estimate,

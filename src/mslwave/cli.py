@@ -154,10 +154,16 @@ def _cmd_bands(args) -> int:
 def _cmd_escape(args) -> int:
     defn = _read_structure(args.structure)
     grid = _parse_grid(args.grid)
+    if len(grid) < 2 or np.any(np.diff(grid) <= 0):
+        raise _UsageError("escape --grid must be increasing with count >= 2, "
+                          f"got {args.grid!r}")
     variant = Variant(args.variant.upper())
     if "sh_piezo" in defn.kinds:
         if args.omega is None:
             raise _UsageError("piezo escape scans need --omega <rad/s>")
+        if variant is not Variant.H:
+            raise _UsageError("piezo escape scans use the H variant only, "
+                              f"got --variant {args.variant}")
         scan = sh_wave_speeds(defn, omega=args.omega, v_grid=grid,
                               tol=args.tol)
         param = "v_s"

@@ -101,6 +101,13 @@ class PointFailures:
     def all_failed(self) -> bool:
         return bool(self.failed.all())
 
+    def copy(self) -> "PointFailures":
+        """An independent record with the same failed points and errors."""
+        other = PointFailures(len(self.failed))
+        other.failed[:] = self.failed
+        other.errors = dict(self.errors)
+        return other
+
     def add(self, mask, make_error) -> None:
         """Record ``make_error(i)`` for every point of the boolean array
         ``mask`` that has not failed yet; earlier failures take

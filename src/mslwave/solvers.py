@@ -12,7 +12,10 @@ kernels (:func:`escape_secular_stack`, :func:`periodic_dispersion_stack`,
 the latter in all four variants); :func:`scan_and_refine` refines all
 brackets of a scan in lockstep, so refinement runs in blocks too: sign
 changes by Illinois regula falsi, which drops pole and jump crossings
-after a few rounds, and minima of |f| by golden section. The
+after a few rounds, and minima of |f| by golden section. A band scan
+samples its energy grid once for all q: the period's matrix depends on
+the energy only, so each block is folded once and closed with every
+q's e^{iqd}; each q's brackets are then refined on their own. The
 Kronig-Penney residuals apply the paper's scalar relations to one
 two-layer fold.
 """
@@ -37,7 +40,7 @@ from .propagators import (BlockMatrix, Variant, antidiagonal_identity,
                           k_matrix, mode_matrix, s_from_k)
 # solve_qep is bound here for perfbench/smoke_test.py, which checks that
 # the tracer patches and restores it in every module
-from .qep import ModeBasis, solve_qep, solve_qep_stack  # noqa: F401
+from .qep import solve_qep, solve_qep_stack  # noqa: F401
 from .structure_io import StructureDefinition
 
 # |f(root)| above this fraction of the scan's typical magnitude marks a
@@ -62,30 +65,6 @@ _CROSSING_SLOPE = 8.0
 
 class ModelingWarning(UserWarning):
     """The requested scan leaves the regime the model assumes."""
-
-
-@dataclass(frozen=True)
-class OutgoingBasis:
-    """The N half-space modes carrying energy away from the inner region.
-
-    ``li`` stacks the reduced columns (f0_j; a0_j) as a 2N x N matrix.
-    """
-
-    modes: tuple
-    li: np.ndarray
-
-    @classmethod
-    def for_left(cls, basis: ModeBasis) -> "OutgoingBasis":
-        return cls(modes=basis.minus,
-                   li=np.vstack([basis.f0_minus, basis.a0_minus]))
-
-    @classmethod
-    def for_right(cls, basis: ModeBasis) -> "OutgoingBasis":
-        return cls(modes=basis.plus,
-                   li=np.vstack([basis.f0_plus, basis.a0_plus]))
-
-    def decays(self, tol: float = 1e-12) -> bool:
-        return bool(_decays(np.array([[md.k for md in self.modes]]), tol)[0])
 
 
 def _decays(ks: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -166,13 +145,21 @@ def _pointwise(func):
 
 
 def _evaluate(evaluate, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate at ``xs`` in blocks of at most SCAN_BLOCK points."""
+    """Evaluate at ``xs`` in blocks of at most SCAN_BLOCK points.
+
+    ``evaluate`` may return (..., G) arrays for a block of G points, say
+    one row per q; the results then have shape (..., len(xs)).
+    """
     xs = np.asarray(xs, dtype=float)
-    values = np.empty(len(xs), dtype=complex)
-    masked = np.empty(len(xs), dtype=bool)
+    values = np.empty(0, dtype=complex)
+    masked = np.empty(0, dtype=bool)
     for s in range(0, len(xs), SCAN_BLOCK):
         block = slice(s, s + SCAN_BLOCK)
-        values[block], masked[block] = evaluate(xs[block])
+        v, m = evaluate(xs[block])
+        if not s:
+            values = np.empty(v.shape[:-1] + xs.shape, dtype=complex)
+            masked = np.empty(values.shape, dtype=bool)
+        values[..., block], masked[..., block] = v, m
     return values, masked
 
 
@@ -328,15 +315,31 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
     The grid is evaluated in blocks of SCAN_BLOCK points and all brackets
     are refined in lockstep, one block evaluation per round for all of
     them. A plain callable is evaluated point by point within each
-    block; the escape, SH-wave and band scans pass a stacked evaluator.
+    block; the escape and SH-wave scans pass a stacked evaluator.
     """
+    grid = _scan_grid(grid)
+    evaluate = (func.evaluate if isinstance(func, _Stacked)
+                else _pointwise(func))
+    values, masked = _evaluate(evaluate, grid)
+    return _refine_samples(evaluate, grid, values, masked, tol, mode,
+                           param_name, root_residual_rfrac)
+
+
+def _scan_grid(grid) -> np.ndarray:
+    """``grid`` as a float array, checked to be a scan grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with >= 2 points")
-    evaluate = (func.evaluate if isinstance(func, _Stacked)
-                else _pointwise(func))
+    return grid
 
-    values, masked = _evaluate(evaluate, grid)
+
+def _refine_samples(evaluate, grid: np.ndarray, values: np.ndarray,
+                    masked: np.ndarray, tol: float, mode: str,
+                    param_name: str, root_residual_rfrac: float
+                    ) -> SecularScan:
+    """The scan of :func:`scan_and_refine` from the sampled ``values``
+    and ``masked`` of its ``grid``: bracket, refine through the block
+    evaluator ``evaluate`` and test the residuals."""
     # an overflowed value (inf or NaN) has no usable sign or size: it
     # neither ends a bracket nor sets the residual scale, though its
     # point is not masked, since its evaluation did not fail
@@ -437,16 +440,20 @@ def _det_live(m: np.ndarray, fails: PointFailures) -> np.ndarray:
     return values
 
 
-def _bound_stacked(defn: StructureDefinition, bind, secular) -> _Stacked:
-    """Block evaluator of ``secular(st, fails)``, the (G,) secular values
-    of ``defn`` bound at a block's points by ``bind(points)``."""
+def _bound_stacked(defn: StructureDefinition, bind, secular,
+                   lead: tuple = ()) -> _Stacked:
+    """Block evaluator of ``secular(st, fails)``, the (*lead, G) secular
+    values and masks of ``defn`` bound at a block's G points by
+    ``bind(points)``."""
 
     def evaluate(xs):
         fails = PointFailures(len(xs))
         st = defn.bind_stack(fails, **bind(xs))
         if fails.all_failed:
-            return np.full(len(xs), np.nan, dtype=complex), fails.failed
-        return secular(st, fails), fails.failed
+            shape = lead + (len(xs),)
+            return (np.full(shape, np.nan, dtype=complex),
+                    np.ones(shape, dtype=bool))
+        return secular(st, fails)
 
     return _Stacked(evaluate)
 
@@ -523,7 +530,8 @@ def _escape_scan(defn: StructureDefinition, grid, variant, tol: float,
 
     def secular(st, fails):
         return _det_live(escape_secular_stack(st, variant, fails,
-                                              bound_state=bound_state), fails)
+                                              bound_state=bound_state),
+                         fails), fails.failed
 
     return scan_and_refine(_bound_stacked(defn, bind, secular), grid,
                            tol=tol, param_name=param_name)
@@ -553,14 +561,31 @@ def periodic_dispersion_stack(st: StackedStructure, variant: Variant | str,
     the first layer's on the right). ``modes`` maps media keys to known
     :class:`ModeStack` objects; a point that fails anywhere (mode solve,
     single layer, fold, a secular solve) is recorded in ``fails`` and
-    its value is NaN.
+    its value is NaN. This is the one-q case of :func:`_bloch_residuals`.
+    """
+    (values, q_fails), = _bloch_residuals(st, variant, [q], fails, modes)
+    fails.add(q_fails.failed, q_fails.errors.__getitem__)
+    return values
+
+
+def _bloch_residuals(st: StackedStructure, variant: Variant | str, qs,
+                     fails: PointFailures, modes: dict | None = None
+                     ) -> list[tuple[np.ndarray, PointFailures]]:
+    """The residuals of :func:`periodic_dispersion_stack` at every q of
+    ``qs``, from one fold of the period: one ((G,) values, failures) pair
+    per q.
+
+    The period's matrix depends on the energy only, so it is folded once
+    for the G points, its failures recorded in ``fails``; each q then
+    applies the Bloch closure with e^{iqd} to it, recording the failures
+    of its own secular solves in a copy of ``fails``.
     """
     variant = Variant(variant)
     if variant not in (Variant.T, Variant.H, Variant.E, Variant.S):
         raise VariantError(
             f"periodic dispersion supports T/H/E/S, got {variant}")
     n = st.n
-    phase = cmath.exp(1j * q * float(sum(d for _, d in st.layers)))
+    period = float(sum(d for _, d in st.layers))
     modes_of = _mode_source(st, fails, modes)
     keys = [key for key, d in st.layers if d > 0.0]
     ends = (keys[-1], keys[0]) if keys else None
@@ -569,28 +594,40 @@ def periodic_dispersion_stack(st: StackedStructure, variant: Variant | str,
             "periodic S form needs a non-empty period"))
     inner = _fold_region(st, variant, fails, modes_of, ends)
     if inner is None:
-        return np.full(st.g, np.nan, dtype=complex)
-    if variant is Variant.T:
-        # a finite T can have a determinant past the double range; it
-        # comes back inf or NaN, which scan_and_refine never brackets
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _det_live(inner - np.eye(2 * n) * phase, fails)
+        return [(np.full(st.g, np.nan, dtype=complex), fails.copy())
+                for _ in qs]
     if variant is Variant.S:
-        return _s_form_residual(inner, *(mode_matrix(modes_of(key))
-                                         for key in ends), phase, fails)
+        ql, qr = (mode_matrix(modes_of(key)) for key in ends)
     b11, b12 = inner[:, :n, :n], inner[:, :n, n:]
     b21, b22 = inner[:, n:, :n], inner[:, n:, n:]
     eye = np.eye(n, dtype=complex)
-    if variant is Variant.H:
-        # Bloch conditions in the H relation give
-        #   A(z) = [I - H21 e^{-iqd}]^{-1} H22 F(z) = H11^{-1} [I - H12 e^{iqd}] F(z);
-        # multiplying through by [I - H21 e^{-iqd}] avoids its poles. For
-        # N = 1 this reduces exactly to 2 cos(qd) H12 = 1 - H11 H22 + H12^2.
-        rhs = solve_stack(b11, eye - b12 * phase, fails, "H11")
-        secular = b22 - (eye - b21 / phase) @ rhs
-    else:
-        secular = (b11 + b12 * phase) - (b21 / phase + b22)
-    return _det_live(secular, fails)
+
+    def closure(q: float, q_fails: PointFailures) -> np.ndarray:
+        phase = cmath.exp(1j * q * period)
+        if variant is Variant.T:
+            # a finite T can have a determinant past the double range; it
+            # comes back inf or NaN, which scan_and_refine never brackets
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _det_live(inner - np.eye(2 * n) * phase, q_fails)
+        if variant is Variant.S:
+            return _s_form_residual(inner, ql, qr, phase, q_fails)
+        if variant is Variant.H:
+            # Bloch conditions in the H relation give
+            #   A(z) = [I - H21 e^{-iqd}]^{-1} H22 F(z) = H11^{-1} [I - H12 e^{iqd}] F(z);
+            # multiplying through by [I - H21 e^{-iqd}] avoids its poles.
+            # For N = 1 this reduces exactly to
+            # 2 cos(qd) H12 = 1 - H11 H22 + H12^2.
+            rhs = solve_stack(b11, eye - b12 * phase, q_fails, "H11")
+            secular = b22 - (eye - b21 / phase) @ rhs
+        else:
+            secular = (b11 + b12 * phase) - (b21 / phase + b22)
+        return _det_live(secular, q_fails)
+
+    residuals = []
+    for q in qs:
+        q_fails = fails.copy()
+        residuals.append((closure(q, q_fails), q_fails))
+    return residuals
 
 
 def _s_form_residual(s: np.ndarray, ql: np.ndarray, qr: np.ndarray,
@@ -781,20 +818,40 @@ def band_scans(period: StructureDefinition, q_grid, e_range,
     """The energy scan of the periodic dispersion at every q of
     ``q_grid``, on ``e_count`` energies spanning ``e_range``.
 
-    Every variant is evaluated in blocks of SCAN_BLOCK energies through
-    :func:`periodic_dispersion_stack`. Each scan's ``masked`` array marks
-    the grid energies where the evaluation failed.
+    The period's matrix depends on the energy only, so the grid is
+    sampled once for all q: each block of SCAN_BLOCK energies is bound
+    and folded once, and every q's Bloch closure is applied to that fold
+    (:func:`_bloch_residuals`). Each q's brackets are then refined as
+    :func:`scan_and_refine` refines them, through
+    :func:`periodic_dispersion_stack` at that q, so every scan equals
+    the one-q scan bit for bit. Each scan's ``masked`` array marks the
+    grid energies where its evaluation failed.
     """
     variant = Variant(variant)
     e_grid = np.linspace(float(e_range[0]), float(e_range[1]), e_count)
+    qs = [float(q) for q in np.asarray(q_grid, dtype=float)]
+    if not qs:
+        return []
+    e_grid = _scan_grid(e_grid)
 
-    def scan_at(q: float) -> SecularScan:
-        func = _bound_stacked(
-            period, lambda energies: {"energy": energies},
-            lambda st, fails: periodic_dispersion_stack(st, variant, q, fails))
-        return scan_and_refine(func, e_grid, tol=tol, param_name="energy")
+    def bound(secular, lead=()):
+        return _bound_stacked(period, lambda energies: {"energy": energies},
+                              secular, lead).evaluate
 
-    return [scan_at(float(q)) for q in np.asarray(q_grid, dtype=float)]
+    def sample(st, fails):
+        residuals = _bloch_residuals(st, variant, qs, fails)
+        return (np.array([values for values, _ in residuals]),
+                np.array([q_fails.failed for _, q_fails in residuals]))
+
+    def at_q(q: float):
+        return bound(lambda st, fails: (
+            periodic_dispersion_stack(st, variant, q, fails), fails.failed))
+
+    values, masked = _evaluate(bound(sample, (len(qs),)), e_grid)
+    return [_refine_samples(at_q(q), e_grid, values[i], masked[i], tol,
+                            mode="auto", param_name="energy",
+                            root_residual_rfrac=ROOT_RESIDUAL_RFRAC)
+            for i, q in enumerate(qs)]
 
 
 def connect_bands(q_grid, scans) -> list[Band]:

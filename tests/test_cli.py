@@ -143,3 +143,53 @@ def test_t_band_scan_brackets_only_finite_values(doc, q):
     ends = np.searchsorted(scan.grid, np.array(scan.brackets).reshape(-1))
     assert np.isfinite(scan.values[ends]).all()
     assert all(math.isfinite(r.residual) for r in scan.roots)
+
+
+def run_escape(tmp_path, doc, *args):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "escape.csv"
+    code = cli.main(["escape", "--structure", str(path), "--no-meta",
+                     "--out", str(out), *args])
+    return code, out
+
+
+@pytest.mark.parametrize("grid", ["0.1:5:1", "5:0.1:50"])
+def test_cli_escape_rejects_a_grid_that_cannot_be_scanned(tmp_path, capsys,
+                                                          grid):
+    # one point, or points in descending order, is a usage error and
+    # not a traceback out of the scan
+    code, out = run_escape(tmp_path, kp_doc(1.0), "--grid", grid)
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+PZT = {"A": {"kind": "sh_piezo", "rho": 7500.0, "c44": 2.56e10,
+             "e15": 12.7, "eps11": 6.46e-9},
+       "B": {"kind": "sh_piezo", "rho": 7750.0, "c44": 2.11e10,
+             "e15": 12.3, "eps11": 8.11e-9}}
+PIEZO_DOC = {"materials": PZT, "left": "A", "right": "A",
+             "layers": [{"material": "B", "thickness": 20e-6}]}
+
+
+@pytest.mark.parametrize("variant", ["t", "e", "s"])
+def test_cli_piezo_escape_rejects_variants_other_than_h(tmp_path, capsys,
+                                                        variant):
+    # piezo speeds are scanned in the H form only, so another variant
+    # would label H roots with its name
+    code, out = run_escape(tmp_path, PIEZO_DOC, "--grid", "2000:2500:8",
+                           "--omega", "3.8e8", "--variant", variant)
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+def test_cli_piezo_escape_runs_the_h_variant(tmp_path):
+    code, out = run_escape(tmp_path, PIEZO_DOC, "--grid", "2270:2590:40",
+                           "--omega", "3.8e8", "--variant", "h",
+                           "--tol", "1e-6")
+    assert code == cli.EXIT_OK
+    header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
+    assert header == ["v_s", "root", "residual", "variant"]
+    assert rows and all(row[3] == "h" for row in rows)

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import dataclasses
 import json
 import math
@@ -20,8 +21,10 @@ from mslwave import (Layer, LayeredStructure, ModelingError, ModelingWarning,
 from mslwave.errors import (IllConditionedError, MatrixOverflowError,
                             PointFailures)
 from mslwave.media import MediumStack, StackedStructure
-from mslwave.solvers import (SCAN_BLOCK, escape_secular_stack,
-                             periodic_dispersion_stack)
+from mslwave import solvers
+from mslwave.solvers import (SCAN_BLOCK, _bloch_residuals, _bound_stacked,
+                             escape_secular_stack, periodic_dispersion_stack)
+from mslwave.structure_io import StructureDefinition
 from conftest import random_hermitian_medium
 
 
@@ -754,3 +757,144 @@ def test_periodic_dispersion_stack_t_masks_points_in_mixed_blocks():
                for exc in t_fails.errors.values())
     blocks = t_fails.failed[:2 * SCAN_BLOCK].reshape(-1, SCAN_BLOCK)
     assert np.any(np.any(blocks, axis=1) & ~np.all(blocks, axis=1))
+
+
+# --- one fold of the period for every q -------------------------------------
+
+BLOCH_VARIANTS = (Variant.T, Variant.H, Variant.E, Variant.S)
+# the 250-thick barrier of tests/test_cli.py: the T fold fails below
+# E = 3.28, so its band scans mask grid energies
+THICK_DEFN = quantum_defn({"a": (1.0, 0.0), "b": (1.2, 10.0)}, "b", "a",
+                          [("a", 1.0), ("b", 250.0)])
+
+
+def bloch_qs(st):
+    d = sum(d for _, d in st.layers)
+    return [0.0, 0.3, 1.1, math.pi / d, -0.4]
+
+
+def assert_same_failures(fails, want):
+    np.testing.assert_array_equal(fails.failed, want.failed)
+    assert sorted(fails.errors) == sorted(want.errors)
+    for i, exc in want.errors.items():
+        assert type(fails.errors[i]) is type(exc)
+        assert str(fails.errors[i]) == str(exc)
+
+
+def assert_bloch_residuals_match_one_q(make):
+    """``make()`` gives a fresh (stack, failures) pair of one block."""
+    for variant in BLOCH_VARIANTS:
+        st, fails = make()
+        qs = bloch_qs(st)
+        residuals = _bloch_residuals(st, variant, qs, fails)
+        assert len(residuals) == len(qs)
+        q_records = [id(fails)] + [id(q_fails) for _, q_fails in residuals]
+        assert len(set(q_records)) == len(qs) + 1
+        for q, (values, q_fails) in zip(qs, residuals):
+            st, want = make()
+            want_values = periodic_dispersion_stack(st, variant, q, want)
+            np.testing.assert_array_equal(values, want_values)
+            assert_same_failures(q_fails, want)
+            # the fold's failures are shared, the closures' are not
+            assert not (fails.failed & ~q_fails.failed).any()
+
+
+@pytest.mark.parametrize("defn,energies", [
+    (KP_DEFN, np.linspace(0.05, 18.0, 2 * SCAN_BLOCK + 5)),
+    (THICK_DEFN, np.linspace(3.0, 3.6, 2 * SCAN_BLOCK + 5))],
+    ids=["kp", "thick"])
+def test_bloch_residuals_match_one_q_dispersion_kp(defn, energies):
+    def make():
+        fails = PointFailures(len(energies))
+        return defn.bind_stack(fails, energy=energies), fails
+    assert_bloch_residuals_match_one_q(make)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p_scale", [0.4, 2.0])
+def test_bloch_residuals_match_one_q_dispersion_random_media(rng, n, p_scale):
+    # p_scale = 2.0 gives blocks that mix failed and live points
+    st, _ = random_periods(rng, n, 2 * SCAN_BLOCK, p_scale=p_scale)
+    assert_bloch_residuals_match_one_q(
+        lambda: (copy.deepcopy(st), PointFailures(st.g)))
+
+
+def test_point_failures_copy_is_independent():
+    fails = PointFailures(4)
+    fails.add(np.array([False, True, False, False]),
+              lambda i: MslError(f"point {i}"))
+    other = fails.copy()
+    other.add(np.array([True, True, False, False]),
+              lambda i: ModelingError(f"later {i}"))
+    np.testing.assert_array_equal(fails.failed, [False, True, False, False])
+    assert list(fails.errors) == [1]
+    np.testing.assert_array_equal(other.failed, [True, True, False, False])
+    assert str(other.errors[1]) == "point 1"
+    assert str(other.errors[0]) == "later 0"
+
+
+def one_q_scan(defn, q, e_grid, variant):
+    """The energy scan at one q by scan_and_refine over one-q blocks."""
+    evaluate = _bound_stacked(
+        defn, lambda energies: {"energy": energies},
+        lambda st, fails: (periodic_dispersion_stack(st, variant, q, fails),
+                           fails.failed))
+    return scan_and_refine(evaluate, e_grid, param_name="energy")
+
+
+@pytest.mark.parametrize("defn,e_range", [(KP_DEFN, (0.05, 18.0)),
+                                          (THICK_DEFN, (0.05, 3.32))],
+                         ids=["kp", "thick"])
+def test_band_scans_match_per_q_scans(defn, e_range):
+    q_grid = [0.0, 0.45, 0.9, math.pi / 2.0]
+    e_count = 150
+    e_grid = np.linspace(*e_range, e_count)
+    masked_any = False
+    for variant in BLOCH_VARIANTS:
+        scans = band_scans(defn, q_grid, e_range, variant, e_count=e_count)
+        assert len(scans) == len(q_grid)
+        for q, scan in zip(q_grid, scans):
+            want = one_q_scan(defn, q, e_grid, variant)
+            np.testing.assert_array_equal(scan.grid, want.grid)
+            np.testing.assert_array_equal(scan.values, want.values)
+            np.testing.assert_array_equal(scan.masked, want.masked)
+            assert scan.brackets == want.brackets
+            assert scan.roots == want.roots
+            assert scan.mode == want.mode
+            masked_any |= bool(scan.masked.any())
+    assert masked_any == (defn is THICK_DEFN)
+
+
+def test_band_scans_bind_each_grid_block_once_for_all_q(monkeypatch):
+    # the grid is bound and folded once per block whatever the number of
+    # q; only the refinement binds more as q is added
+    calls = {"bind": 0, "at_refine": None}
+    bind_stack = StructureDefinition.bind_stack
+    refine = solvers._refine_samples
+
+    def counting_bind_stack(self, *args, **kwargs):
+        calls["bind"] += 1
+        return bind_stack(self, *args, **kwargs)
+
+    def first_refine(*args, **kwargs):
+        if calls["at_refine"] is None:
+            calls["at_refine"] = calls["bind"]
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(StructureDefinition, "bind_stack", counting_bind_stack)
+    monkeypatch.setattr(solvers, "_refine_samples", first_refine)
+
+    def counts(q_grid):
+        calls.update(bind=0, at_refine=None)
+        band_scans(KP_DEFN, q_grid, (0.05, 18.0), Variant.H, e_count=100)
+        return calls["at_refine"], calls["bind"] - calls["at_refine"]
+
+    blocks = math.ceil(100 / SCAN_BLOCK)
+    q_grid = [0.2, 0.7, 1.1, 1.5]
+    refine_per_q = []
+    for q in q_grid:
+        grid, refines = counts([q])
+        assert grid == blocks
+        refine_per_q.append(refines)
+    assert min(refine_per_q) > 0
+    assert counts(q_grid) == (blocks, sum(refine_per_q))
