@@ -37,4 +37,4 @@ from .structure_io import (StructureDefinition, load_structure,
 from .verify import (FirstOrderSystem, StabilityReport, default_c_estimate,
                      det_unimodularity_scan, expm_propagator,
                      first_order_matrix, rk4_propagator, roundoff_bound,
-                     variant_comparison_report)
+                     t_det_drift, variant_comparison_report)

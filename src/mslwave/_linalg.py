@@ -1,9 +1,4 @@
-"""Small dense linear-algebra helpers shared across modules.
-
-Includes a pivoted-elimination determinant/solve that also works for
-extended-precision complex dtypes (``np.complex256`` where the platform
-provides it), which LAPACK does not cover.
-"""
+"""Small dense linear-algebra helpers shared across modules."""
 
 from __future__ import annotations
 
@@ -12,12 +7,6 @@ import math
 import numpy as np
 
 from .errors import SingularMatrixError
-
-# Extended-precision complex dtype for the determinant-drift diagnostic.
-# x86-64 Linux exposes complex256 (80-bit extended); elsewhere fall back
-# to complex128 and accept a coarser diagnostic floor.
-EXTENDED_COMPLEX = getattr(np, "complex256", np.complex128)
-
 
 def unit_roundoff() -> float:
     """Empirically detect the unit roundoff.
@@ -110,48 +99,6 @@ def det_drift(a: np.ndarray) -> float:
 
 def smallest_singular_value(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
-def det_pivoted(a: np.ndarray) -> complex:
-    """Determinant by Gaussian elimination with partial pivoting.
-
-    Works for any complex dtype, including extended precision.
-    """
-    a = np.array(a, copy=True)
-    n = a.shape[0]
-    det = a.dtype.type(1.0)
-    for j in range(n):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if a[p, j] == 0:
-            return complex(0.0)
-        if p != j:
-            a[[j, p]] = a[[p, j]]
-            det = -det
-        det = det * a[j, j]
-        factors = a[j + 1:, j] / a[j, j]
-        a[j + 1:, j:] -= np.outer(factors, a[j, j:])
-    return complex(det)
-
-
-def inv_pivoted(a: np.ndarray) -> np.ndarray:
-    """Inverse by Gauss-Jordan elimination with partial pivoting.
-
-    Dtype-generic companion of :func:`det_pivoted`.
-    """
-    a = np.asarray(a)
-    n = a.shape[0]
-    aug = np.hstack([a.astype(a.dtype, copy=True), np.eye(n, dtype=a.dtype)])
-    for j in range(n):
-        p = j + int(np.argmax(np.abs(aug[j:, j])))
-        if aug[p, j] == 0:
-            raise SingularMatrixError("matrix is singular to working precision")
-        if p != j:
-            aug[[j, p]] = aug[[p, j]]
-        aug[j] = aug[j] / aug[j, j]
-        for i in range(n):
-            if i != j:
-                aug[i] = aug[i] - aug[i, j] * aug[j]
-    return aug[:, n:]
 
 
 def solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:

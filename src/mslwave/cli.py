@@ -12,14 +12,13 @@ Exit codes: 0 success, 1 usage, 2 input invalid, 3 validation failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
+from ._table import csv_text
 from .errors import MslError, StructureFileError, StructuralError
 from .media import validate_coefficients
 from .propagators import Variant
@@ -42,6 +41,19 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Write ``--grid -1.5:1.5:3`` as ``--grid=-1.5:1.5:3``: argparse
+    reads a separate value that starts with '-' (a q grid across the
+    Brillouin zone, a range below zero) as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--grid", "--range") and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -86,16 +98,8 @@ def _emit(columns, rows, args, meta_extra: str = "") -> None:
             doc["meta"] = {"tool": "mslwave", "version": __version__}
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        if not args.no_meta:
-            buf.write(f"# mslwave,{__version__}{meta_extra}\r\n")
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if v is None
-                             else repr(v) if isinstance(v, float) else v
-                             for v in row])
-        text = buf.getvalue()
+        text = csv_text(None if args.no_meta
+                        else f"mslwave,{__version__}{meta_extra}", columns, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -224,7 +228,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(
+            sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

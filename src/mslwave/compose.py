@@ -22,16 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (cond_stack, det_drift, scaled_cond_stack,
-                      smallest_singular_value, solve_stack, stacked_call)
+from ._linalg import (cond_stack, scaled_cond_stack, smallest_singular_value,
+                      solve_stack, stacked_call)
 from .errors import (IllConditionedError, MatrixOverflowError,
                      PointFailures, ResonanceError, StructuralError,
                      VariantError)
 from .media import LayeredStructure, MslCoefficients
 from .propagators import (CONDITION_LIMIT, BlockMatrix, Variant, _assemble,
-                          _det_drift_extended, _per_point, _q_condition_error,
-                          antidiagonal_identity, mode_matrix, s_from_k_stack,
-                          single_stack, t_single_stack)
+                          _per_point, _q_condition_error, antidiagonal_identity,
+                          mode_matrix, s_from_k_stack, single_stack,
+                          t_single_stack)
 from .qep import ModeBasis, ModeStack, solve_qep
 
 
@@ -377,10 +377,9 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
     recursion the composition rules are written in. Layers of zero
     thickness are skipped (they are exact neutral elements). For the S
     variant the half-space media provide the end-domain reduced bases
-    and the fold alternates interface and propagation factors. A T
-    fold of formally hermitian media carries its unimodularity drift:
-    the extended-precision one of :func:`t_single` for a single layer,
-    else the ``slogdet`` one of the product.
+    and the fold alternates interface and propagation factors. The
+    unimodularity drift of a T fold is reported by
+    :func:`mslwave.verify.t_det_drift`, not attached.
     """
     variant = Variant(variant)
     if variant not in (Variant.T, Variant.H, Variant.E, Variant.S):
@@ -410,13 +409,7 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
     data, cond, svs = fold_stack(layers, variant, lambda m: basis_of(m).stack,
                                  fails, trace=True, ends=(s.left, s.right))
     fails.raise_first()
-    drift = None
-    if variant is Variant.T and all(
-            m.is_formally_hermitian() for m in {m for m, _ in layers}):
-        m, d = layers[0]
-        drift = (_det_drift_extended(basis_of(m), d) if len(layers) == 1
-                 else det_drift(data[0]))
     steps = [_step_of(i, sv[0]) for i, sv in enumerate(svs)]
-    return (BlockMatrix(variant=variant, data=data[0], det_drift=drift,
+    return (BlockMatrix(variant=variant, data=data[0],
                         conditioning=None if cond is None else float(cond[0])),
             CompositionTrace(steps=tuple(steps)))

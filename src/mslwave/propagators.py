@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (EXTENDED_COMPLEX, cond_estimate, det_pivoted,
-                      inv_pivoted, right_solve_checked, right_solve_stack,
+from ._linalg import (cond_estimate, right_solve_checked, right_solve_stack,
                       scaled_cond, scaled_cond_stack, solve_checked,
                       solve_stack, stacked_call)
 from .errors import (DegenerateModeError, IllConditionedError,
@@ -62,13 +61,13 @@ class BlockMatrix:
 
     Blocks are addressed as (1, 1) ... (2, 2), each N x N. Entries must
     be finite; anything else raises instead of propagating Inf/NaN.
-    ``det_drift`` (T only, hermitian media) and ``conditioning`` are
-    diagnostics attached by the constructors.
+    ``conditioning`` is a diagnostic attached by the constructors; the
+    unimodularity drift of a T is computed on request by
+    :func:`mslwave.verify.t_det_drift`.
     """
 
     variant: Variant
     data: np.ndarray
-    det_drift: float | None = None
     conditioning: float | None = None
 
     def __post_init__(self):
@@ -110,14 +109,12 @@ class BlockMatrix:
 
 
 def from_blocks(variant: Variant, b11, b12, b21, b22,
-                det_drift: float | None = None,
                 conditioning: float | None = None) -> BlockMatrix:
     n = np.shape(b11)[0]
     data = np.empty((2 * n, 2 * n), dtype=complex)
     data[:n, :n], data[:n, n:] = b11, b12
     data[n:, :n], data[n:, n:] = b21, b22
-    return BlockMatrix(variant=variant, data=data, det_drift=det_drift,
-                       conditioning=conditioning)
+    return BlockMatrix(variant=variant, data=data, conditioning=conditioning)
 
 
 def _assemble(variant: Variant, b11, b12, b21, b22,
@@ -181,44 +178,11 @@ def q_matrix(basis: ModeBasis, z: float = 0.0,
         raise MatrixOverflowError(
             "mode exponential overflowed in Q(z)",
             omega_d=float(np.max(np.abs(ks.imag) * np.abs(z - refs))))
-    cols = np.vstack([np.column_stack([md.f0 for md in basis.modes]),
-                      np.column_stack([md.a0 for md in basis.modes])])
-    data = cols * phases[None, :]
+    data = mode_matrix(basis.stack)[0] * phases[None, :]
     cond = scaled_cond(data)
     if cond > CONDITION_LIMIT:
         raise _q_condition_error(cond)
     return BlockMatrix(variant=Variant.Q, data=data, conditioning=cond)
-
-
-def _det_drift_extended(basis: ModeBasis, d: float) -> float:
-    """Unimodularity drift of T(d), measured in extended precision.
-
-    Re-assembles T from the modal data in the widest complex dtype the
-    platform has and evaluates the determinant by pivoted elimination.
-    The drift is reported symmetrically, max(|det - 1|, |1/det - 1|):
-    at large |Im k| d the decaying channel drops below one ulp of the
-    growing one and the computed determinant collapses toward zero,
-    which is as much a unimodularity failure as a huge value. A float64
-    determinant would bury the moderate-Omega-d signal under its own
-    storage noise (~ u * cond(T)), hence the extended dtype.
-    """
-    xt = EXTENDED_COMPLEX
-    ks = basis.ks.astype(np.complex128)
-    q0 = np.vstack([np.column_stack([md.f0 for md in basis.modes]),
-                    np.column_stack([md.a0 for md in basis.modes])]).astype(xt)
-    real_part = np.exp(np.asarray(-ks.imag * d, dtype=np.longdouble))
-    phase = np.exp(1j * np.asarray(ks.real * d, dtype=np.longdouble)
-                   .astype(xt))
-    diag = real_part.astype(xt) * phase
-    try:
-        t_ext = (q0 * diag[None, :]) @ inv_pivoted(q0)
-        det = det_pivoted(t_ext)
-    except SingularMatrixError:
-        return float("inf")
-    if det == 0:
-        return float("inf")
-    drift = max(abs(det - 1.0), abs(1.0 / det - 1.0))
-    return float(drift)
 
 
 def mode_matrix(modes: ModeStack) -> np.ndarray:
@@ -280,11 +244,10 @@ def t_single(m: MslCoefficients, d: float,
     """Associated transfer matrix of one homogeneous layer.
 
     T(d) = Q0 diag(exp(i k_j d)) Q0^{-1} over the mode basis; the G = 1
-    case of :func:`t_single_stack`, whose failures it raises. For
-    formally hermitian media the unimodularity drift diagnostic is
-    attached (see ``_det_drift_extended``); it is reported, never
-    asserted, since its breakdown is exactly the phenomenon the stable
-    variants exist to avoid.
+    case of :func:`t_single_stack`, whose failures it raises. Its
+    unimodularity drift, whose breakdown is exactly the phenomenon the
+    stable variants exist to avoid, is not attached: it is reported by
+    :func:`mslwave.verify.t_det_drift`.
     """
     if d < 0:
         raise ValueError("thickness must be >= 0")
@@ -292,10 +255,7 @@ def t_single(m: MslCoefficients, d: float,
     fails = PointFailures(1)
     data = t_single_stack(basis.stack, d, fails)
     fails.raise_first()
-    drift = None
-    if m.is_formally_hermitian():
-        drift = _det_drift_extended(basis, d)
-    return BlockMatrix(variant=Variant.T, data=data[0], det_drift=drift,
+    return BlockMatrix(variant=Variant.T, data=data[0],
                        conditioning=cond_estimate(mode_matrix(basis.stack)[0]))
 
 

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.optimize
 
 from ._linalg import solve_stack
+from ._table import csv_text
 from .compose import fold_stack
 from .errors import (IllConditionedError, ModelingError, MslError,
                      PointFailures, VariantError)
@@ -96,17 +97,10 @@ class SecularScan:
         return [r.value for r in self.roots]
 
     def to_csv(self, variant: str = "", include_meta: bool = True) -> str:
-        import csv
-        import io
-        buf = io.StringIO()
-        if include_meta:
-            buf.write(f"# scan,{self.param_name},{self.mode}\r\n")
-        writer = csv.writer(buf)
-        writer.writerow((self.param_name, "root", "residual", "variant"))
-        for r in self.roots:
-            writer.writerow((repr(r.value), repr(r.value),
-                             repr(r.residual), variant))
-        return buf.getvalue()
+        meta = f"scan,{self.param_name},{self.mode}" if include_meta else None
+        return csv_text(meta, (self.param_name, "root", "residual", "variant"),
+                        [(r.value, r.value, r.residual, variant)
+                         for r in self.roots])
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,18 +9,17 @@ error-bound estimates) and emits machine-readable stability reports.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from ._linalg import UNIT_ROUNDOFF, det_drift, solve_checked, sv_ratio
+from ._table import csv_text
 from .errors import MatrixOverflowError, MslError, PointFailures
 from .media import Layer, LayeredStructure, MslCoefficients
-from .propagators import (BlockMatrix, Variant, _det_drift_extended,
-                          gamma_blocks, t_single)
+from .propagators import (BlockMatrix, Variant, gamma_blocks, mode_matrix,
+                          t_single)
 from .compose import fold_stack, structure_propagator
 from .qep import ModeBasis, solve_qep
 
@@ -109,22 +108,53 @@ class StabilityReport:
     unit_roundoff: float = UNIT_ROUNDOFF
 
     def to_csv(self, include_meta: bool = True) -> str:
-        buf = io.StringIO()
-        if include_meta:
-            buf.write(f"# unit_roundoff,{self.unit_roundoff!r}\r\n")
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(["" if v is None else repr(v) if isinstance(v, float)
-                             else v for v in row])
-        return buf.getvalue()
+        meta = f"unit_roundoff,{self.unit_roundoff!r}" if include_meta else None
+        return csv_text(meta, self.columns, self.rows)
+
+
+def t_det_drift(layers, t: np.ndarray,
+                bases: dict[MslCoefficients, ModeBasis] | None = None) -> float:
+    """Unimodularity drift of a T matrix: max(|det T - 1|, |1/det T - 1|).
+
+    ``t`` is the 2N x 2N T data folded from ``layers``, a list of
+    (medium, thickness) pairs; ``bases`` maps media to their mode bases
+    (solved when missing). The drift is reported symmetrically because
+    at large |Im k| d the decaying channel drops below one ulp of the
+    growing one and the determinant collapses toward zero, which is as
+    much a unimodularity failure as a huge value.
+
+    For a single formally hermitian layer, T = Q0 diag(exp(i k_j d))
+    Q0^{-1} is formed again from the modes and its determinant taken
+    with a 64-bit mantissa in mpmath, the same on every platform: the
+    determinant of the float64 data would bury the moderate-Omega-d
+    drift under its own storage noise (~ u cond T). A singular Q0 or a
+    determinant of 0 gives inf. Every other T takes the drift of its
+    float64 data from ``slogdet``.
+    """
+    if len(layers) == 1 and layers[0][0].is_formally_hermitian():
+        # imported here: only a reported single-layer drift needs mpmath
+        import mpmath
+        m, d = layers[0]
+        basis = bases[m] if bases and m in bases else solve_qep(m)
+        mp = mpmath.MPContext()
+        mp.prec = 64
+        q0 = mp.matrix(mode_matrix(basis.stack)[0].tolist())
+        phases = mp.diag([mp.exp(1j * mp.mpc(k) * float(d)) for k in basis.ks])
+        try:
+            det = mp.det(q0 * phases * mp.inverse(q0))
+        except ZeroDivisionError:
+            return float("inf")
+        if det == 0:
+            return float("inf")
+        return float(max(abs(det - 1), abs(1 / det - 1)))
+    return det_drift(t)
 
 
 def det_unimodularity_scan(m: MslCoefficients, d_grid) -> StabilityReport:
     """|det T(d) - 1| over a thickness grid, with overflow flagged.
 
-    Overflow points are recorded, not fatal; the drift column carries
-    the extended-precision symmetric diagnostic attached by t_single.
+    Overflow points are recorded, not fatal; the drift column is
+    :func:`t_det_drift` of each single-layer T.
     """
     basis = solve_qep(m)
     rows = []
@@ -132,7 +162,8 @@ def det_unimodularity_scan(m: MslCoefficients, d_grid) -> StabilityReport:
         omega_d = basis.max_abs_im_k() * d
         try:
             t = t_single(m, float(d), basis)
-            rows.append((float(d), float(omega_d), t.det_drift, False))
+            rows.append((float(d), float(omega_d),
+                         t_det_drift([(m, d)], t.data, {m: basis}), False))
         except MatrixOverflowError:
             rows.append((float(d), float(omega_d), None, True))
     return StabilityReport(columns=("d", "omega_d", "det_drift", "overflow"),
@@ -229,10 +260,8 @@ def _live_cells(variant: Variant, layers, bases, data, cond, steps,
     if not len(ok):
         return []
     if variant is Variant.T:
-        if len(layers) == 1 and layers[0][0].is_formally_hermitian():
-            m, d = layers[0]
-            return [[_det_drift_extended(bases[m], float(d[i]))] for i in ok]
-        return [[det_drift(data[i])] for i in ok]
+        return [[t_det_drift([(m, d[i]) for m, d in layers], data[i], bases)]
+                for i in ok]
     if variant is Variant.E:
         inner = _max_over([sv[ok, 0] for sv in steps], 0.0, len(ok))
         return [[None if cond is None else float(cond[i]), float(inner[k])]
@@ -260,9 +289,9 @@ def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
     sweep can cross from the stable into the overflow regime and back.
     Each variant is folded once, with the scales as the G points of
     :func:`fold_stack` (per-point thicknesses); the cells are those of
-    per-scale :func:`structure_propagator` calls. Per-medium facts (mode
-    bases, max |Im k|, the roundoff prefactor, formal hermiticity) are
-    computed once per medium.
+    per-scale :func:`structure_propagator` calls, and the T drift is
+    :func:`t_det_drift` of each folded T. Per-medium facts (mode bases,
+    max |Im k|, the roundoff prefactor) are computed once per medium.
     """
     bases = {}
     for m in [ly.medium for ly in s.layers] + [s.left, s.right]:

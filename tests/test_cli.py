@@ -145,6 +145,25 @@ def test_t_band_scan_brackets_only_finite_values(doc, q):
     assert all(math.isfinite(r.residual) for r in scan.roots)
 
 
+def test_cli_takes_grid_and_range_values_that_start_with_minus(tmp_path):
+    # a q grid across the Brillouin zone starts below zero; given as a
+    # separate argument it must not be read as an option
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(kp_doc(1.0)), encoding="utf-8")
+    out = tmp_path / "bands.csv"
+
+    def bands(*args):
+        assert cli.main(["bands", "--structure", str(path), "--out", str(out),
+                         *args]) == cli.EXIT_OK
+        return out.read_bytes()
+
+    spaced = bands("--grid", "-1.5:1.5:3", "--range", "0.05:5")
+    assert spaced == bands("--grid=-1.5:1.5:3", "--range", "0.05:5")
+    assert spaced.count(b"\r\n-1.5,") >= 1
+    below = bands("--grid", "-1.5:1.5:3", "--range", "-0.5:5")
+    assert below == bands("--grid=-1.5:1.5:3", "--range=-0.5:5")
+
+
 def run_escape(tmp_path, doc, *args):
     path = tmp_path / "structure.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -11,7 +11,7 @@ from mslwave import (BlockMatrix, IllConditionedError, MatrixOverflowError,
                      k_matrix, make_quantum_medium, make_scalar_medium,
                      make_sh_piezo_medium,
                      q_matrix, reblock_family, s_from_k, solve_qep,
-                     t_partitions, t_single)
+                     t_det_drift, t_partitions, t_single)
 from mslwave.qep import Mode, ModeBasis
 from conftest import (random_evanescent_medium, random_hermitian_medium,
                       random_partitionable_medium)
@@ -82,7 +82,8 @@ def test_t_det_drift_regimes_random_evanescent(rng):
         m = random_evanescent_medium(rng, n)
         basis = solve_qep(m)
         d = 10.0 / basis.max_abs_im_k()
-        assert t_single(m, d, basis).det_drift <= 1e-10
+        t = t_single(m, d, basis)
+        assert t_det_drift([(m, d)], t.data, {m: basis}) <= 1e-10
 
 
 # --- Appendix-style partitions ----------------------------------------

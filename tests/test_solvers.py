@@ -17,7 +17,7 @@ from mslwave import (Layer, LayeredStructure, ModelingError, ModelingWarning,
                      kronig_penney_period, kronig_penney_residuals,
                      make_quantum_medium, parse_structure, periodic_dispersion,
                      scan_and_refine, sh_wave_speeds, solve_qep,
-                     structure_propagator)
+                     structure_propagator, t_det_drift)
 from mslwave.errors import (IllConditionedError, MatrixOverflowError,
                             PointFailures)
 from mslwave.media import MediumStack, StackedStructure
@@ -366,7 +366,8 @@ def test_t_form_unusable_at_huge_barrier_while_stable_forms_work():
     e, q = 2.0, 0.7
     period = kronig_penney_period(well, barrier, e)
     t, _ = structure_propagator(period, Variant.T)
-    drift = t.det_drift
+    drift = t_det_drift([(ly.medium, ly.thickness) for ly in period.layers],
+                        t.data)
     assert drift is not None and drift > 1e3
     for variant in (Variant.H, Variant.E, Variant.S):
         res = kronig_penney_residuals(well, barrier, e, q, variant)

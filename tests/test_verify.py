@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +8,7 @@ from mslwave import (Layer, LayeredStructure, MatrixOverflowError, MslError,
                      default_c_estimate, det_unimodularity_scan,
                      expm_propagator, first_order_matrix, make_scalar_medium,
                      rk4_propagator, roundoff_bound, solve_qep,
-                     structure_propagator, t_single,
+                     structure_propagator, t_det_drift, t_single,
                      variant_comparison_report)
 from mslwave._linalg import UNIT_ROUNDOFF, det_drift
 from conftest import random_hermitian_medium, random_partitionable_medium
@@ -138,7 +139,29 @@ def test_drift_exceeds_bound_floor():
     basis = solve_qep(EVANESCENT)
     t = t_single(EVANESCENT, 50.0, basis)
     bound = roundoff_bound(EVANESCENT, 50.0, basis=basis)
-    assert t.det_drift >= bound / 1e3
+    drift = t_det_drift([(EVANESCENT, 50.0)], t.data, {EVANESCENT: basis})
+    assert drift >= bound / 1e3
+
+
+def test_t_det_drift_regimes_evanescent():
+    # one hermitian layer: the 64-bit drift resolves the roundoff growth
+    # that the float64 determinant of the same T buries at moderate
+    # Omega d, and reads huge or inf once T is numerically singular
+    basis = solve_qep(EVANESCENT)
+    prec = mpmath.mp.prec
+
+    def drifts(omega_d):
+        d = omega_d / basis.max_abs_im_k()
+        t = t_single(EVANESCENT, d, basis).data
+        return t_det_drift([(EVANESCENT, d)], t, {EVANESCENT: basis}), \
+            det_drift(t)
+
+    assert drifts(1.0)[0] <= 1e-15
+    extended, plain = drifts(10.0)
+    assert 1e-12 <= extended <= 1e-10 and plain > 1e-9
+    assert 1e-4 <= drifts(20.0)[0] <= 1e-2
+    assert drifts(50.0)[0] >= 1e3
+    assert mpmath.mp.prec == prec
 
 
 # --- variant comparison report -------------------------------------------
@@ -208,8 +231,9 @@ def per_scale_rows(s, scales):
                 continue
             norms = [np.linalg.norm(m.block(i, j), 2)
                      for i in (1, 2) for j in (1, 2)]
-            row += {"T": lambda: ["ok", m.det_drift if m.det_drift is not None
-                                  else det_drift(m.data)],
+            row += {"T": lambda: ["ok", t_det_drift(
+                        [(ly.medium, ly.thickness) for ly in scaled.layers
+                         if ly.thickness > 0.0], m.data, bases)],
                     "H": lambda: ["ok", float(max(norms)),
                                   float(norms[1] + norms[2]),
                                   float(trace.max_conditioning())],
@@ -225,7 +249,7 @@ def per_scale_rows(s, scales):
 
 
 @pytest.mark.parametrize("layers,scales", [
-    # one hermitian layer: t_det_drift is t_single's extended drift; the
+    # one hermitian layer: t_det_drift is the 64-bit mpmath drift; the
     # thinnest scale fails E, the thickest overflows T
     ([(EVANESCENT, 1.0)], [1e-13, 0.5, 30.0, 800.0]),
     # well/barrier stack with a zero-thickness layer: the drift of the
