@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -80,20 +81,25 @@ def scaled_cond_stack(a: np.ndarray) -> np.ndarray:
     return cond
 
 
-def det_drift(a: np.ndarray) -> float:
-    """Distance of det ``a`` from 1: max(|det - 1|, |1/det - 1|).
+def det_drift(a: np.ndarray, log_det: complex = 0.0) -> float:
+    """Distance of det ``a`` from its exact value e^``log_det``:
+    max(|r - 1|, |1/r - 1|) with r = det e^-``log_det``.
 
     The determinant is taken from ``slogdet`` and formed as
-    sign * exp(log|det|), as ``np.linalg.det`` forms it, so a drift in
-    the double range is the one ``det`` gives, while a finite but huge
-    matrix no longer overflows (and warns) inside ``det``. The drift is
-    inf when det is 0 or when the drift itself exceeds the double range.
+    sign * exp(log|det| - Re log_det), as ``np.linalg.det`` forms it, so
+    a drift in the double range is the one ``det`` gives, while a finite
+    but huge matrix no longer overflows (and warns) inside ``det``. The
+    drift is inf when det is 0 or when the drift itself exceeds the
+    double range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sign, logabs = np.linalg.slogdet(a)
+    logabs = logabs - log_det.real
     if not np.isfinite(logabs) or abs(logabs) >= _LOG_DOUBLE_MAX:
         return float("inf")
     det = complex(sign) * math.exp(logabs)
+    if log_det.imag:
+        det *= cmath.exp(-1j * log_det.imag)
     return float(max(abs(det - 1.0), abs(1.0 / det - 1.0)))
 
 

@@ -27,12 +27,14 @@ from ._linalg import (cond_stack, scaled_cond_stack, smallest_singular_value,
 from .errors import (IllConditionedError, MatrixOverflowError,
                      PointFailures, ResonanceError, StructuralError,
                      VariantError)
-from .media import LayeredStructure, MslCoefficients
+from .media import LayeredStructure, MslCoefficients, StackedStructure
 from .propagators import (CONDITION_LIMIT, BlockMatrix, Variant, _assemble,
                           _per_point, _q_condition_error, antidiagonal_identity,
                           mode_matrix, s_from_k_stack, single_stack,
                           t_single_stack)
-from .qep import ModeBasis, ModeStack, solve_qep
+# solve_qep is bound here for perfbench/smoke_test.py, which checks that
+# the tracer patches and restores it in every module
+from .qep import ModeBasis, ModeStack, mode_source, solve_qep  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -338,7 +340,12 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
     ``layers`` lists (key, d) with at least one layer; each d is either
     one thickness > 0 shared by all points or a (G,) array of per-point
     thicknesses > 0. ``modes_of(key)`` gives that medium's
-    :class:`ModeStack`, of G points or of one point shared by all. T
+    :class:`ModeStack`, of G points or of one point shared by all; it is
+    called as the fold reaches each layer or end, right to left, so a
+    :func:`mslwave.qep.mode_source` records each medium's failures in
+    ``fails`` in the order the fold reads the media. The overflow and
+    conditioning errors of a T, H or E single-layer matrix carry that
+    layer's ``layer_index`` in ``layers``. T
     composes by the plain product, H and E by their inner-factor rules,
     and S alternates propagation and interface factors between the
     half-spaces ``ends`` = (left key, right key).
@@ -355,13 +362,16 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
     if variant is Variant.S:
         return _fold_s(layers, ends, modes_of, fails, trace)
     compose = compose_h_stack if variant is Variant.H else compose_e_stack
-    key, d = layers[-1]
-    acc, cond = single_stack(variant, modes_of(key), d, fails)
+    last = len(layers) - 1
+    acc, cond = single_stack(variant, modes_of(layers[last][0]),
+                             layers[last][1], fails, layer_index=last)
     steps = []
-    for key, d in layers[-2::-1]:
+    for idx in range(last - 1, -1, -1):
         if fails.all_failed:
             break
-        m_single, _ = single_stack(variant, modes_of(key), d, fails)
+        key, d = layers[idx]
+        m_single, _ = single_stack(variant, modes_of(key), d, fails,
+                                   layer_index=idx)
         acc, sv = compose(m_single, acc, fails, trace)
         steps.append(sv)
     return acc, (cond if len(layers) == 1 else None), steps
@@ -379,20 +389,23 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
     variant the half-space media provide the end-domain reduced bases
     and the fold alternates interface and propagation factors. The
     unimodularity drift of a T fold is reported by
-    :func:`mslwave.verify.t_det_drift`, not attached.
+    :func:`mslwave.verify.t_det_drift`, not attached. The modes of the
+    media the fold reads (the layers of nonzero thickness, and the
+    half-spaces for S) come from one QEP call, with ``bases`` used where
+    given; the first error the fold records, a mode solve's included,
+    is raised.
     """
     variant = Variant(variant)
     if variant not in (Variant.T, Variant.H, Variant.E, Variant.S):
         raise VariantError(f"structure folds support T/H/E/S, got {variant}")
-    cache: dict[MslCoefficients, ModeBasis] = dict(bases or {})
-
-    def basis_of(m: MslCoefficients) -> ModeBasis:
-        if m not in cache:
-            cache[m] = solve_qep(m)
-        return cache[m]
-
     layers = [(ly.medium, ly.thickness) for ly in s.layers
               if ly.thickness > 0.0]
+    ends = (s.left, s.right)
+    fails = PointFailures(1)
+    modes_of = mode_source(
+        StackedStructure.of(s).media,
+        [key for key, _ in layers] + list(ends if variant is Variant.S else ()),
+        fails, {m: basis.stack for m, basis in (bases or {}).items()})
     n = s.n
     if not layers:
         if variant is Variant.T:
@@ -400,14 +413,16 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
         if variant is Variant.H:
             return antidiagonal_identity(n), CompositionTrace()
         if variant is Variant.S:
-            return (interface_scattering(basis_of(s.left), basis_of(s.right)),
+            left, right = map(modes_of, ends)
+            fails.raise_first()
+            return (interface_scattering(left.basis(0, s.left),
+                                         right.basis(0, s.right)),
                     CompositionTrace())
         raise IllConditionedError(
             "E matrix of a zero-thickness region is not computable")
 
-    fails = PointFailures(1)
-    data, cond, svs = fold_stack(layers, variant, lambda m: basis_of(m).stack,
-                                 fails, trace=True, ends=(s.left, s.right))
+    data, cond, svs = fold_stack(layers, variant, modes_of, fails, trace=True,
+                                 ends=ends)
     fails.raise_first()
     steps = [_step_of(i, sv[0]) for i, sv in enumerate(svs)]
     return (BlockMatrix(variant=variant, data=data[0],

@@ -27,11 +27,17 @@ class DegenerateModeError(SingularMatrixError):
 
 
 class IllConditionedError(MslError):
-    """A solve was refused because the condition estimate is too large."""
+    """A solve was refused because the condition estimate is too large.
 
-    def __init__(self, message: str, estimate: float | None = None):
+    ``layer_index`` names the layer of a fold whose single-layer matrix
+    was refused, when known.
+    """
+
+    def __init__(self, message: str, estimate: float | None = None,
+                 layer_index: int | None = None):
         super().__init__(message)
         self.estimate = estimate
+        self.layer_index = layer_index
 
 
 class MatrixOverflowError(MslError):

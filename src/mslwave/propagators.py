@@ -369,8 +369,9 @@ def _reference_phases(modes: ModeStack, d: float):
     return at_z0, at_z
 
 
-def single_stack(variant: Variant, modes: ModeStack, d,
-                 fails: PointFailures) -> tuple[np.ndarray, np.ndarray]:
+def single_stack(variant: Variant, modes: ModeStack, d, fails: PointFailures,
+                 layer_index: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked :func:`h_single_stable` or :func:`e_single_stable`: the
     (G, 2N, 2N) data and the conditioning of every point.
 
@@ -379,7 +380,8 @@ def single_stack(variant: Variant, modes: ModeStack, d,
 
     H = U^{FA} [U^{AF}]^{-1} and E = U^{AA} [U^{FF}]^{-1}; a point whose
     scaled condition of the inverted factor exceeds CONDITION_LIMIT, or
-    whose result is not finite, is recorded in ``fails``.
+    whose result is not finite, is recorded in ``fails``. With a
+    ``layer_index`` those errors name that layer of a fold.
     """
     n = modes.n
     at_z0, at_z = _reference_phases(modes, d)
@@ -398,10 +400,11 @@ def single_stack(variant: Variant, modes: ModeStack, d,
     cond = scaled_cond_stack(den)
     fails.add(cond > CONDITION_LIMIT, lambda i: IllConditionedError(
         f"{name} condition {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e} "
-        f"({why})", estimate=float(cond[i])))
+        f"({why})", estimate=float(cond[i]), layer_index=layer_index))
     data = right_solve_stack(den, num, fails, name)
     fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
-              MatrixOverflowError(f"{variant} matrix contains non-finite entries"))
+              MatrixOverflowError(f"{variant} matrix contains non-finite entries",
+                                  layer_index=layer_index))
     fails.patch(data)
     return data, cond
 

@@ -9,9 +9,12 @@ and mode shapes Theta(k) f0 = 0. The basis is split into N "plus" modes
 (Im k > 0, or right-going when k is real) and N "minus" modes; all the
 stable matrix constructions downstream rely on that split.
 
-:func:`solve_qep_stack` solves G media at once, one per parameter
-point, and records failures per point; :func:`solve_qep` is its G = 1
-case.
+:func:`solve_qep_stack` solves a stack of media at once, one per
+parameter point, and records failures per point; :func:`solve_qep` is
+its G = 1 case. :func:`mode_source` is the one mode source of the
+stacked folds: it solves every medium a block evaluation reads in one
+:func:`solve_qep_stack` call, so a block pays the fixed per-call cost
+once rather than once per medium.
 """
 
 from __future__ import annotations
@@ -149,7 +152,12 @@ def linear_form_amplitudes(m: MslCoefficients, ks: np.ndarray,
 
 
 def _amplitudes(b, p, ks, f0s):
-    return 1j * ks[..., None, :] * (b @ f0s) + p @ f0s
+    # in place, each product keeping the operand order of
+    # 1j k (b f0) + p f0: complex multiplies are not bitwise commutative
+    a = b @ f0s
+    np.multiply(1j * ks[..., None, :], a, out=a)
+    a += p @ f0s
+    return a
 
 
 def _theta_scales(media: MediumStack, py: np.ndarray) -> np.ndarray:
@@ -165,8 +173,16 @@ def _residuals(media: MediumStack, py, norms, ks, f0s) -> np.ndarray:
     measured against |k|^2 ||b|| + |k| ||p+y|| + ||w||, the size of the
     terms that formed it.
     """
+    # Theta(k) f0 = -k^2 (b f0) + i k ((p+y) f0) + w f0, formed in place
     k = ks[:, None, :]
-    r = _theta(media.b @ f0s, py @ f0s, media.w @ f0s, k)
+    r = media.b @ f0s
+    np.multiply(-k ** 2, r, out=r)
+    t = py @ f0s
+    np.multiply(1j * k, t, out=t)
+    r += t
+    np.matmul(media.w, f0s, out=t)
+    r += t
+    del t
     ak = np.abs(ks)
     scale = ak * ak * norms[0] + ak * norms[1] + norms[2]
     return np.linalg.norm(r, axis=1) / np.maximum(1.0, scale)
@@ -217,24 +233,27 @@ def _partition_stack(b, p, ks, f0s, fails: PointFailures,
         f"cannot split eigenvalues into {n}/{n} plus/minus sets: "
         f"{np.array2string(ks[i], precision=6)}"))
 
+    # a pair i < j of eigenvalues closer than DEGENERACY_RTOL of the
+    # larger |k| (at least 1)
     ak = np.abs(ks)
-    pair_scale = np.maximum(1.0, np.maximum(ak[:, :, None], ak[:, None, :]))
-    close = np.abs(ks[:, :, None] - ks[:, None, :]) < DEGENERACY_RTOL * pair_scale
-    # every k is close to itself: a pair is close beyond the 2N diagonal
+    lo, hi = np.triu_indices(2 * n, 1)
+    pair_scale = np.maximum(ak[:, lo], ak[:, hi])
+    np.maximum(1.0, pair_scale, out=pair_scale)
+    pair_scale *= DEGENERACY_RTOL
     degenerate = (undecided.any(axis=1)
-                  | (np.count_nonzero(close, axis=(1, 2)) > 2 * n))
+                  | (np.abs(ks[:, lo] - ks[:, hi]) < pair_scale).any(axis=1))
 
     # plus set first; within a set by decreasing Im k, then increasing
     # Re k, then index: j's position is the number of modes before it
     order = np.argsort(np.sum(_precedes(~plus, -im, re), axis=1), axis=1)
     rows = np.arange(len(ks))[:, None]
-    ks = ks[rows, order]
-    f0s = np.swapaxes(np.swapaxes(f0s, 1, 2)[rows, order], 1, 2)
+    ks[:] = ks[rows, order]
+    f0s[:] = np.swapaxes(np.swapaxes(f0s, 1, 2)[rows, order], 1, 2)
     norms = np.linalg.norm(f0s, axis=1)
     zero = norms == 0
     fails.add(zero.any(axis=1), lambda i: EigensolveError(
         "zero mode shape from eigensolve"))
-    f0s = f0s / np.where(zero, 1.0, norms)[:, None, :]
+    f0s /= np.where(zero, 1.0, norms)[:, None, :]
     return ModeStack(ks=ks, f0=f0s, a0=_amplitudes(b, p, ks, f0s),
                      degenerate=degenerate)
 
@@ -248,8 +267,8 @@ def partition_modes(m: MslCoefficients, ks: np.ndarray, f0s: np.ndarray,
     to classify are distributed to balance the sets, with the basis
     flagged degenerate. Failure to reach an N/N split raises.
     """
-    ks = np.asarray(ks, dtype=complex)
-    f0s = np.asarray(f0s, dtype=complex)
+    ks = np.array(ks, dtype=complex)  # copies: sorted in place below
+    f0s = np.array(f0s, dtype=complex)
     n = m.n
     if ks.shape[0] != 2 * n or f0s.shape != (n, 2 * n):
         raise PartitionError(
@@ -266,16 +285,16 @@ def _companion_modes(media: MediumStack, py: np.ndarray,
     """Wavenumbers (G, 2N) and unit shapes (G, N, 2N) from the companion
     eigensolve."""
     n = media.n
-    binv = solve_stack(media.b, np.concatenate([media.w, py], axis=-1),
-                       fails, "B")
     companion = np.zeros((media.g, 2 * n, 2 * n), dtype=complex)
     companion[:, :n, n:] = np.eye(n)
-    companion[:, n:, :] = -binv
+    np.negative(solve_stack(media.b, np.concatenate([media.w, py], axis=-1),
+                            fails, "B"), out=companion[:, n:, :])
     mu, vectors = stacked_call(
         np.linalg.eig, fails,
         lambda i, exc: EigensolveError(f"companion eigensolve failed: {exc}"),
         companion)
-    ks = -1j * mu
+    del companion
+    ks = np.multiply(-1j, mu, out=mu)
     # companion eigenvectors can have a vanishing F part only for
     # infinite eigenvalues, which a regular b excludes; still normalize
     # and refine the shapes against Theta(k).
@@ -294,8 +313,13 @@ def _companion_modes(media: MediumStack, py: np.ndarray,
 
 def solve_qep_stack(media: MediumStack, fails: PointFailures,
                     residual_rtol: float = RESIDUAL_RTOL) -> ModeStack:
-    """Solve the quadratic eigenproblems of G media by companion
-    linearization.
+    """Solve the quadratic eigenproblems of a stack of media by
+    companion linearization.
+
+    The stack's points are independent problems: G points of one medium,
+    or several media joined along the point axis (:func:`mode_source`),
+    are solved in one call, and each point's modes and failure do not
+    depend on the other points.
 
     Pairs (F, i k F) so each problem becomes a standard eigenproblem for
     mu = i k:
@@ -321,6 +345,47 @@ def solve_qep_stack(media: MediumStack, fails: PointFailures,
         f"QEP residual {worst[i]:.3e} exceeds tolerance {residual_rtol:.1e}"))
     fails.patch(modes.ks, modes.f0, modes.a0, modes.degenerate)
     return modes
+
+
+def mode_source(media: dict, keys, fails: PointFailures,
+                known: dict | None = None):
+    """``modes_of(key)``: the :class:`ModeStack` of ``media[key]``, for
+    every key of ``keys``.
+
+    ``known`` maps keys to stacks already solved; every other key of
+    ``keys`` is solved here in one :func:`solve_qep_stack` call, the
+    media joined along the point axis, with failures kept in a scratch
+    record. The first ``modes_of(key)`` copies that medium's failures
+    into ``fails`` and patches its own arrays, so failures are recorded
+    in the order the caller reads the media, exactly as a solve on
+    first read would record them; a medium never read masks no point.
+    """
+    known = dict(known or {})
+    todo = [key for key in dict.fromkeys(keys) if key not in known]
+    parts, start = {}, 0
+    if todo:
+        stacks = [media[key] for key in todo]
+        joined = stacks[0] if len(stacks) == 1 else MediumStack(
+            *(np.concatenate([getattr(st, f) for st in stacks])
+              for f in ("b", "p", "y", "w")))
+        scratch = PointFailures(joined.g)
+        modes = solve_qep_stack(joined, scratch)
+        for key, st in zip(todo, stacks):
+            parts[key] = slice(start, start + st.g)
+            start += st.g
+
+    def modes_of(key):
+        if key not in known:
+            part = parts[key]
+            stack = ModeStack(ks=modes.ks[part], f0=modes.f0[part],
+                              a0=modes.a0[part],
+                              degenerate=modes.degenerate[part])
+            fails.add(scratch.failed[part],
+                      lambda i: scratch.errors[part.start + i])
+            fails.patch(stack.ks, stack.f0, stack.a0, stack.degenerate)
+            known[key] = stack
+        return known[key]
+    return modes_of
 
 
 def solve_qep(m: MslCoefficients,

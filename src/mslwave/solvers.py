@@ -9,7 +9,11 @@ them.
 The escape, SH-wave and band scans evaluate their secular determinant
 over blocks of SCAN_BLOCK parameter points at once through the stacked
 kernels (:func:`escape_secular_stack`, :func:`periodic_dispersion_stack`,
-the latter in all four variants); :func:`scan_and_refine` refines all
+the latter in all four variants). Each block evaluation solves the
+modes of every medium it reads (the half-spaces and the layers of
+nonzero thickness) in one QEP call (:func:`mslwave.qep.mode_source`),
+and a medium nothing reads is never solved. :func:`scan_and_refine`
+refines all
 brackets of a scan in lockstep, so refinement runs in blocks too: sign
 changes by Illinois regula falsi, which drops pole and jump crossings
 after a few rounds, and minima of |f| by golden section. A band scan
@@ -17,7 +21,7 @@ samples its energy grid once for all q: the period's matrix depends on
 the energy only, so each block is folded once and closed with every
 q's e^{iqd}; each q's brackets are then refined on their own. The
 Kronig-Penney residuals apply the paper's scalar relations to one
-two-layer fold.
+two-layer fold, with both layers' modes from one QEP call.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .propagators import (BlockMatrix, Variant, antidiagonal_identity,
                           k_matrix, mode_matrix, s_from_k)
 # solve_qep is bound here for perfbench/smoke_test.py, which checks that
 # the tracer patches and restores it in every module
-from .qep import solve_qep, solve_qep_stack  # noqa: F401
+from .qep import mode_source, solve_qep  # noqa: F401
 from .structure_io import StructureDefinition
 
 # |f(root)| above this fraction of the scan's typical magnitude marks a
@@ -393,19 +397,6 @@ def _refine_samples(evaluate, grid: np.ndarray, values: np.ndarray,
                        roots=tuple(roots), mode=mode)
 
 
-def _mode_source(st: StackedStructure, fails: PointFailures,
-                 modes: dict | None):
-    """``modes_of(key)``: the :class:`ModeStack` of medium ``key`` of
-    ``st``, taken from ``modes`` or solved once on first use."""
-    cache = dict(modes or {})
-
-    def modes_of(key):
-        if key not in cache:
-            cache[key] = solve_qep_stack(st.media[key], fails)
-        return cache[key]
-    return modes_of
-
-
 def _fold_region(st: StackedStructure, variant: Variant,
                  fails: PointFailures, modes_of,
                  ends=None) -> np.ndarray | None:
@@ -466,7 +457,8 @@ def escape_secular_stack(st: StackedStructure, variant: Variant | str,
     if variant not in (Variant.H, Variant.E):
         raise VariantError(f"escape problem supports H or E, got {variant}")
     g, n = st.g, st.n
-    modes_of = _mode_source(st, fails, modes)
+    modes_of = mode_source(st.media, [st.left, st.right] + [
+        key for key, d in st.layers if d > 0.0], fails, modes)
     left, right = modes_of(st.left), modes_of(st.right)
     if bound_state:
         fails.add(~(_decays(left.ks[:, n:]) & _decays(right.ks[:, :n])),
@@ -580,8 +572,8 @@ def _bloch_residuals(st: StackedStructure, variant: Variant | str, qs,
             f"periodic dispersion supports T/H/E/S, got {variant}")
     n = st.n
     period = float(sum(d for _, d in st.layers))
-    modes_of = _mode_source(st, fails, modes)
     keys = [key for key, d in st.layers if d > 0.0]
+    modes_of = mode_source(st.media, keys, fails, modes)
     ends = (keys[-1], keys[0]) if keys else None
     if variant is Variant.S and not keys:
         fails.add(np.ones(st.g, dtype=bool), lambda i: ModelingError(
@@ -702,7 +694,8 @@ def kronig_penney_residuals(well: QuantumLayer, barrier: QuantumLayer,
     fails = PointFailures(1)
     cell = fold_stack(list(st.layers),
                       Variant.T if variant is Variant.S else variant,
-                      _mode_source(st, fails, None), fails)[0][0]
+                      mode_source(st.media, [key for key, _ in st.layers],
+                                  fails), fails)[0][0]
     fails.raise_first()
     (x11, x12), (x21, x22) = cell
 

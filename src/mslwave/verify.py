@@ -112,9 +112,23 @@ class StabilityReport:
         return csv_text(meta, self.columns, self.rows)
 
 
+def _log_det_t(layers) -> complex:
+    """phi = sum_i d_i tr M_i over (medium, thickness) pairs: the exact
+    T of the layers has det T = e^phi."""
+    traces = {}  # by identity: hashing a medium hashes its arrays
+    for m, _ in layers:
+        if id(m) not in traces:
+            traces[id(m)] = complex(np.trace(first_order_matrix(m).m))
+    return sum(traces[id(m)] * d for m, d in layers)
+
+
 def t_det_drift(layers, t: np.ndarray,
                 bases: dict[MslCoefficients, ModeBasis] | None = None) -> float:
-    """Unimodularity drift of a T matrix: max(|det T - 1|, |1/det T - 1|).
+    """Unimodularity drift of a T matrix: max(|r - 1|, |1/r - 1|), with
+    r = det T e^-phi the ratio of det T to its exact value e^phi. By
+    Liouville's formula phi = sum_i d_i tr M_i, M being the
+    :func:`first_order_matrix` of each layer; phi = 0 for the quantum
+    media, whose T is unimodular.
 
     ``t`` is the 2N x 2N T data folded from ``layers``, a list of
     (medium, thickness) pairs; ``bases`` maps media to their mode bases
@@ -131,6 +145,7 @@ def t_det_drift(layers, t: np.ndarray,
     determinant of 0 gives inf. Every other T takes the drift of its
     float64 data from ``slogdet``.
     """
+    phi = _log_det_t(layers)
     if len(layers) == 1 and layers[0][0].is_formally_hermitian():
         # imported here: only a reported single-layer drift needs mpmath
         import mpmath
@@ -146,12 +161,15 @@ def t_det_drift(layers, t: np.ndarray,
             return float("inf")
         if det == 0:
             return float("inf")
+        if phi:
+            det *= mp.exp(-mp.mpc(phi))
         return float(max(abs(det - 1), abs(1 / det - 1)))
-    return det_drift(t)
+    return det_drift(t, phi)
 
 
 def det_unimodularity_scan(m: MslCoefficients, d_grid) -> StabilityReport:
-    """|det T(d) - 1| over a thickness grid, with overflow flagged.
+    """Drift of det T(d) from e^(d tr M) over a thickness grid, with
+    overflow flagged.
 
     Overflow points are recorded, not fatal; the drift column is
     :func:`t_det_drift` of each single-layer T.

@@ -360,3 +360,22 @@ def test_fold_stack_matches_single_points_per_point_media(rng, n):
                 Layer(m, d) for m, (_, d) in zip((a, b), layers)))
             want, _ = structure_propagator(s, variant)
             np.testing.assert_allclose(data[i], want.data, rtol=1e-12, atol=0)
+
+
+def test_e_fold_thin_layer_error_names_the_layer():
+    # the second layer is too thin for E: both the stacked fold and the
+    # G = 1 fold name it; the message is the single-layer one
+    s = _sandwich(EVANESCENT, [Layer(EVANESCENT, 1.0), Layer(BARRIER, 1e-13)])
+    with pytest.raises(IllConditionedError) as err:
+        structure_propagator(s, Variant.E)
+    assert err.value.layer_index == 1
+    with pytest.raises(IllConditionedError) as single:
+        e_single_stable(BARRIER, 1e-13)
+    assert str(err.value) == str(single.value)
+    assert single.value.layer_index is None
+    fails = PointFailures(2)
+    fold_stack([(EVANESCENT, np.array([1.0, 1.0])),
+                (BARRIER, np.array([0.5, 1e-13]))],
+               Variant.E, lambda m: solve_qep(m).stack, fails)
+    assert fails.failed.tolist() == [False, True]
+    assert fails.errors[1].layer_index == 1

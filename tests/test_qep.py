@@ -8,7 +8,10 @@ from mslwave import (MslCoefficients, PartitionError, ShPiezoParams,
                      make_scalar_medium, make_sh_piezo_medium,
                      partition_modes, secular_matrix,
                      sh_piezo_expected_wavenumbers, solve_qep)
-from conftest import random_hermitian_medium
+from mslwave.errors import PointFailures
+from mslwave.media import MediumStack
+from mslwave.qep import mode_source, solve_qep_stack
+from conftest import random_hermitian_medium, random_partitionable_medium
 
 
 def test_secular_matrix_closed_forms():
@@ -128,3 +131,24 @@ def test_partition_stability_under_tiny_perturbation(rng):
     for k in anchor:
         dists = [abs(k - md.k) for md in jittered.plus]
         assert min(dists) < 1e-6 * max(1.0, abs(k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mode_source_stacks_equal_one_medium_solves(rng, n):
+    # three media joined into one solve: each medium's stack is the one
+    # its own solve gives, bit for bit
+    g, keys = 5, ("a", "b", "c")
+    media = {key: MediumStack(*(
+        np.stack([getattr(m, c) for m in draws]) for c in "bpyw"))
+        for key, draws in ((key, [random_partitionable_medium(rng, n)[0]
+                                  for _ in range(g)]) for key in keys)}
+    fails = PointFailures(g)
+    modes_of = mode_source(media, keys, fails)
+    for key in keys:
+        alone = PointFailures(g)
+        want = solve_qep_stack(media[key], alone)
+        got = modes_of(key)
+        assert not alone.failed.any()
+        for field in ("ks", "f0", "a0", "degenerate"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert not fails.failed.any()

@@ -15,13 +15,13 @@ from mslwave import (Layer, LayeredStructure, ModelingError, ModelingWarning,
                      band_structure, connect_bands, escape_energy_scan,
                      escape_secular, finite_well_oracle,
                      kronig_penney_period, kronig_penney_residuals,
-                     make_quantum_medium, parse_structure, periodic_dispersion,
-                     scan_and_refine, sh_wave_speeds, solve_qep,
-                     structure_propagator, t_det_drift)
+                     make_quantum_medium, make_scalar_medium, parse_structure,
+                     periodic_dispersion, scan_and_refine, sh_wave_speeds,
+                     solve_qep, structure_propagator, t_det_drift)
 from mslwave.errors import (IllConditionedError, MatrixOverflowError,
                             PointFailures)
 from mslwave.media import MediumStack, StackedStructure
-from mslwave import solvers
+from mslwave import qep, solvers
 from mslwave.solvers import (SCAN_BLOCK, _bloch_residuals, _bound_stacked,
                              escape_secular_stack, periodic_dispersion_stack)
 from mslwave.structure_io import StructureDefinition
@@ -660,6 +660,91 @@ def test_stacked_escape_secular_matches_single_points_random_media(rng, n):
         values = np.linalg.det(escape_secular_stack(st, variant, fails))
         assert_same_points(values, fails.failed,
                            *single_point_dets(structures, variant))
+
+
+def stack_of(media):
+    """The MediumStack holding one medium per point."""
+    return MediumStack(*(np.stack([getattr(m, c) for m in media])
+                         for c in "bpyw"))
+
+
+# -k^2 - 4k - 1 = 0: two negative real roots, no 1/1 plus/minus split
+ONE_SIDED = make_scalar_medium(1.0, 2.0j, 2.0j, -1.0)
+
+
+def test_escape_secular_stack_records_each_points_single_point_error():
+    # the layer medium "bad" fails its mode solve at points 1, 3 and 5;
+    # above the wall (points 2 and 3) the exterior propagates and fails
+    # the bound-state check, which is read first, so point 3 reports it
+    energies = [1.0, 3.0, 12.0, 14.0, 5.0, 2.0]
+    wall = [make_quantum_medium(1.0, 10.0, e) for e in energies]
+    well = [make_quantum_medium(1.0, 0.0, e) for e in energies]
+    bad = [ONE_SIDED if i in (1, 3, 5) else make_quantum_medium(1.0, 6.0, e)
+           for i, e in enumerate(energies)]
+    layers = (("well", 1.0), ("bad", 0.5), ("well", 1.2))
+    st = StackedStructure(media={"wall": stack_of(wall), "well": stack_of(well),
+                                 "bad": stack_of(bad)},
+                          left="wall", right="wall", layers=layers)
+    for variant in (Variant.H, Variant.E):
+        fails = PointFailures(len(energies))
+        escape_secular_stack(st, variant, fails, bound_state=True)
+        for i in range(len(energies)):
+            media = {"well": well[i], "bad": bad[i]}
+            s = LayeredStructure(left=wall[i], right=wall[i], layers=tuple(
+                Layer(media[key], d) for key, d in layers))
+            try:
+                escape_secular(s, variant, bound_state=True)
+            except MslError as exc:
+                got = fails.errors[i]
+                assert (type(got), str(got)) == (type(exc), str(exc))
+            else:
+                assert not fails.failed[i]
+        assert sorted(fails.errors) == [1, 2, 3, 5]
+        assert isinstance(fails.errors[3], ModelingError)
+
+
+def test_media_that_no_layer_reads_mask_no_point():
+    # "lost" fails its mode solve everywhere but nothing reads it; "gap"
+    # fails everywhere too but fills only a zero-thickness layer
+    energies = np.linspace(1.0, 9.0, 5)
+    st = WELL_DEFN.bind_stack(PointFailures(len(energies)), energy=energies)
+    failing = stack_of([ONE_SIDED] * len(energies))
+    padded = StackedStructure(
+        media={**st.media, "lost": failing, "gap": failing}, left=st.left,
+        right=st.right, layers=st.layers + (("gap", 0.0),))
+    for variant in (Variant.H, Variant.E):
+        fails = PointFailures(len(energies))
+        escape_secular_stack(padded, variant, fails, bound_state=True)
+        assert not fails.failed.any()
+    for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
+        want, fails = PointFailures(len(energies)), PointFailures(len(energies))
+        periodic_dispersion_stack(st, variant, 0.4, want)
+        periodic_dispersion_stack(padded, variant, 0.4, fails)
+        assert fails.failed.tolist() == want.failed.tolist()
+    evanescent = make_scalar_medium(1.0, 0.0, 0.0, -1.0)
+    s = LayeredStructure(left=evanescent, right=evanescent, layers=(
+        Layer(evanescent, 1.0), Layer(ONE_SIDED, 0.0)))
+    for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
+        structure_propagator(s, variant)
+
+
+def test_escape_secular_stack_solves_every_medium_in_one_call(monkeypatch):
+    calls = []
+    solve = qep.solve_qep_stack
+
+    def counted(media, fails):
+        calls.append(media.g)
+        return solve(media, fails)
+
+    monkeypatch.setattr(qep, "solve_qep_stack", counted)
+    defn = quantum_defn({"wall": (1.0, 10.0), "well": (1.0, 0.0),
+                         "barrier": (1.0, 8.0)}, "wall", "wall",
+                        [("well", 1.2), ("barrier", 0.5), ("well", 1.1)])
+    fails = PointFailures(SCAN_BLOCK)
+    st = defn.bind_stack(fails, energy=np.linspace(0.5, 7.5, SCAN_BLOCK))
+    escape_secular_stack(st, Variant.H, fails, bound_state=True)
+    assert calls == [3 * SCAN_BLOCK]
+    assert not fails.failed.any()
 
 
 def single_point_dispersion(periods, variant, q):

@@ -265,3 +265,28 @@ def test_report_matches_per_scale_folds(layers, scales):
     statuses = {cell for row in report.rows for cell in row
                 if isinstance(cell, str)}
     assert {"ok", "MatrixOverflowError"} <= statuses
+
+
+def test_t_det_drift_measures_det_t_against_liouville():
+    # det T = exp(sum_i d_i tr M_i): this medium has tr M != 0, so det T
+    # is far from 1 at Omega d = 0.5 although T is accurate
+    m, basis = random_partitionable_medium(np.random.default_rng(5), 2)
+    d = 0.5 / basis.max_abs_im_k()
+    phi = np.trace(first_order_matrix(m).m) * d
+    t = t_single(m, d, basis).data
+    assert abs(np.linalg.det(t) - np.exp(phi)) < 1e-12
+    assert abs(np.linalg.det(t) - 1.0) > 0.1
+    assert t_det_drift([(m, d)], t, {m: basis}) < 1e-12
+    s = LayeredStructure(left=m, right=m, layers=(Layer(m, d), Layer(m, d)))
+    t2, _ = structure_propagator(s, "T")
+    assert t_det_drift([(m, d), (m, d)], t2.data) < 1e-12
+
+
+def test_t_det_drift_of_quantum_media_is_the_drift_from_one():
+    # p = y = 0 gives tr M = 0 exactly: the drift is the one of det T
+    # from 1, bit for bit
+    s = LayeredStructure(left=EVANESCENT, right=EVANESCENT, layers=(
+        Layer(EVANESCENT, 3.0), Layer(PROPAGATING, 0.7), Layer(EVANESCENT, 2.0)))
+    t, _ = structure_propagator(s, "T")
+    layers = [(ly.medium, ly.thickness) for ly in s.layers]
+    assert t_det_drift(layers, t.data) == det_drift(t.data)
