@@ -401,11 +401,12 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
     layers = [(ly.medium, ly.thickness) for ly in s.layers
               if ly.thickness > 0.0]
     ends = (s.left, s.right)
+    keys = [key for key, _ in layers]
+    if variant is Variant.S:
+        keys += ends
     fails = PointFailures(1)
-    modes_of = mode_source(
-        StackedStructure.of(s).media,
-        [key for key, _ in layers] + list(ends if variant is Variant.S else ()),
-        fails, {m: basis.stack for m, basis in (bases or {}).items()})
+    modes_of = mode_source(StackedStructure.of(s).media, keys, fails, {
+        m: basis.stack for m, basis in (bases or {}).items()})
     n = s.n
     if not layers:
         if variant is Variant.T:

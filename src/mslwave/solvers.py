@@ -13,15 +13,14 @@ the latter in all four variants). Each block evaluation solves the
 modes of every medium it reads (the half-spaces and the layers of
 nonzero thickness) in one QEP call (:func:`mslwave.qep.mode_source`),
 and a medium nothing reads is never solved. :func:`scan_and_refine`
-refines all
-brackets of a scan in lockstep, so refinement runs in blocks too: sign
-changes by Illinois regula falsi, which drops pole and jump crossings
-after a few rounds, and minima of |f| by golden section. A band scan
-samples its energy grid once for all q: the period's matrix depends on
-the energy only, so each block is folded once and closed with every
-q's e^{iqd}; each q's brackets are then refined on their own. The
-Kronig-Penney residuals apply the paper's scalar relations to one
-two-layer fold, with both layers' modes from one QEP call.
+refines all brackets of a scan in lockstep, so refinement runs in
+blocks too: sign changes by Illinois regula falsi, which drops pole and
+jump crossings after a few rounds, and minima of |f| by golden section.
+A band scan samples its energy grid once for all q: the period's matrix
+depends on the energy only, so each block is folded once and closed
+with every q's e^{iqd}; each q's brackets are then refined on their
+own. The Kronig-Penney residuals apply the paper's scalar relations to
+one two-layer fold, with both layers' modes from one QEP call.
 """
 
 from __future__ import annotations
