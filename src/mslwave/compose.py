@@ -416,8 +416,8 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
         if variant is Variant.S:
             left, right = map(modes_of, ends)
             fails.raise_first()
-            return (interface_scattering(left.basis(0, s.left),
-                                         right.basis(0, s.right)),
+            return (interface_scattering(ModeBasis(left, s.left),
+                                         ModeBasis(right, s.right)),
                     CompositionTrace())
         raise IllConditionedError(
             "E matrix of a zero-thickness region is not computable")

@@ -57,6 +57,9 @@ class MslCoefficients:
                 raise StructuralError(
                     f"{name} has shape {m.shape}, expected ({n}, {n})")
             object.__setattr__(self, name, m)
+        # the arrays are read-only, so a medium hashes once
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, name).tobytes() for name in "bpyw")))
 
     @property
     def n(self) -> int:
@@ -76,8 +79,7 @@ class MslCoefficients:
                 and np.array_equal(self.w, other.w))
 
     def __hash__(self):
-        return hash((self.b.tobytes(), self.p.tobytes(),
-                     self.y.tobytes(), self.w.tobytes()))
+        return self._hash
 
 
 @dataclass(frozen=True)

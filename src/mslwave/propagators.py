@@ -292,8 +292,9 @@ def t_partitions(basis: ModeBasis, d: float) -> tuple[
     """
     _check_overflow(basis, d)
     g = gamma_blocks(basis)
-    pi_p = np.exp(1j * np.array([md.k for md in basis.plus]) * d)
-    pi_m = np.exp(1j * np.array([md.k for md in basis.minus]) * d)
+    n = basis.n
+    pi_p = np.exp(1j * basis.ks[:n] * d)
+    pi_m = np.exp(1j * basis.ks[n:] * d)
     try:
         gi11 = np.linalg.inv(g.g11)
         gi12 = np.linalg.inv(g.g12)
@@ -343,19 +344,6 @@ def e_from_t(t: BlockMatrix) -> BlockMatrix:
                        conditioning=cond_estimate(t12))
 
 
-def _referenced_u_rows(basis: ModeBasis, d: float):
-    """Mode quantities with plus modes referenced at the left edge and
-    minus modes at the right edge, so every exponential has magnitude <= 1.
-
-    Returns (f_at_z0, f_at_z, a_at_z0, a_at_z), each N x 2N with the
-    plus columns first.
-    """
-    modes = basis.stack
-    at_z0, at_z = _reference_phases(modes, d)
-    return tuple((u * at)[0] for u, at in ((modes.f0, at_z0), (modes.f0, at_z),
-                                           (modes.a0, at_z0), (modes.a0, at_z)))
-
-
 def _reference_phases(modes: ModeStack, d: float):
     """Column factors (G, 1, 2N) taking the referenced modes to z0 and z."""
     n = modes.n
@@ -387,7 +375,7 @@ def single_stack(variant: Variant, modes: ModeStack, d, fails: PointFailures,
     at_z0, at_z = _reference_phases(modes, d)
     # numerator and denominator rows: (F(z0); A(z)) over (A(z0); F(z))
     # for H, (A(z0); A(z)) over (F(z0); F(z)) for E
-    num = np.empty(at_z.shape[:1] + (2 * n, 2 * n), dtype=complex)
+    num = np.empty(fails.failed.shape + (2 * n, 2 * n), dtype=complex)
     den = np.empty_like(num)
     if variant is Variant.H:
         num[:, :n], num[:, n:] = modes.f0 * at_z0, modes.a0 * at_z

@@ -9,18 +9,22 @@ and mode shapes Theta(k) f0 = 0. The basis is split into N "plus" modes
 (Im k > 0, or right-going when k is real) and N "minus" modes; all the
 stable matrix constructions downstream rely on that split.
 
+The modes are held once, as arrays: a :class:`ModeStack` has the 2N
+modes of one medium at G parameter points, and a :class:`ModeBasis`,
+the modes of one medium, is a view of a one-point stack whose
+:class:`Mode` objects are built only when asked for.
+
 :func:`solve_qep_stack` solves a stack of media at once, one per
 parameter point, and records failures per point; :func:`solve_qep` is
-its G = 1 case. :func:`mode_source` is the one mode source of the
-stacked folds: it solves every medium a block evaluation reads in one
-:func:`solve_qep_stack` call, so a block pays the fixed per-call cost
-once rather than once per medium.
+its G = 1 case. :func:`mode_source` is the one solver of several media:
+it solves every medium a block evaluation (or a stability report)
+reads in one :func:`solve_qep_stack` call, so a block pays the fixed
+per-call cost once rather than once per medium.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,71 +79,66 @@ class ModeStack:
     a0: np.ndarray
     degenerate: np.ndarray
 
-    @classmethod
-    def of(cls, basis: "ModeBasis") -> "ModeStack":
-        return cls(ks=basis.ks[None],
-                   f0=np.column_stack([md.f0 for md in basis.modes])[None],
-                   a0=np.column_stack([md.a0 for md in basis.modes])[None],
-                   degenerate=np.array([basis.degenerate]))
-
     @property
     def n(self) -> int:
         return self.f0.shape[1]
 
-    def basis(self, i: int, medium: MslCoefficients) -> "ModeBasis":
-        """The :class:`ModeBasis` of point ``i``."""
-        n = self.n
-        modes = tuple(Mode(k=complex(self.ks[i, j]), f0=self.f0[i, :, j],
-                           a0=self.a0[i, :, j]) for j in range(2 * n))
-        basis = ModeBasis(plus=modes[:n], minus=modes[n:], medium=medium,
-                          degenerate=bool(self.degenerate[i]))
-        if len(self.ks) == 1:  # seed the basis's cached G = 1 stack
-            basis.__dict__["stack"] = self
-        return basis
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeBasis:
-    """The 2N modes of a medium, partitioned into plus and minus sets."""
+    """The 2N modes of a medium, partitioned into plus and minus sets: a
+    view of the one-point :class:`ModeStack` ``stack``.
 
-    plus: tuple[Mode, ...]
-    minus: tuple[Mode, ...]
+    The wavenumbers, the N x N mode blocks and the degeneracy flag read
+    the stack; :class:`Mode` objects are built only when asked for.
+    Bases compare by identity, as arrays have no truth value.
+    """
+
+    stack: ModeStack
     medium: MslCoefficients
-    degenerate: bool = False
 
     @property
     def n(self) -> int:
-        return self.medium.n
+        return self.stack.n
 
     @property
-    def modes(self) -> tuple[Mode, ...]:
-        return self.plus + self.minus
+    def degenerate(self) -> bool:
+        return bool(self.stack.degenerate[0])
 
     @property
     def ks(self) -> np.ndarray:
-        return np.array([md.k for md in self.modes])
+        return self.stack.ks[0]
+
+    @property
+    def modes(self) -> tuple[Mode, ...]:
+        st = self.stack
+        return tuple(Mode(k=complex(st.ks[0, j]), f0=st.f0[0, :, j],
+                          a0=st.a0[0, :, j]) for j in range(2 * self.n))
+
+    @property
+    def plus(self) -> tuple[Mode, ...]:
+        return self.modes[:self.n]
+
+    @property
+    def minus(self) -> tuple[Mode, ...]:
+        return self.modes[self.n:]
 
     @property
     def f0_plus(self) -> np.ndarray:
         """N x N matrix whose columns are the plus-mode shapes."""
-        return np.column_stack([md.f0 for md in self.plus])
+        return self.stack.f0[0, :, :self.n]
 
     @property
     def a0_plus(self) -> np.ndarray:
-        return np.column_stack([md.a0 for md in self.plus])
+        return self.stack.a0[0, :, :self.n]
 
     @property
     def f0_minus(self) -> np.ndarray:
-        return np.column_stack([md.f0 for md in self.minus])
+        return self.stack.f0[0, :, self.n:]
 
     @property
     def a0_minus(self) -> np.ndarray:
-        return np.column_stack([md.a0 for md in self.minus])
-
-    @cached_property
-    def stack(self) -> ModeStack:
-        """This basis as the G = 1 :class:`ModeStack`."""
-        return ModeStack.of(self)
+        return self.stack.a0[0, :, self.n:]
 
     def max_abs_im_k(self) -> float:
         return float(np.max(np.abs(self.ks.imag)))
@@ -277,7 +276,7 @@ def partition_modes(m: MslCoefficients, ks: np.ndarray, f0s: np.ndarray,
     modes = _partition_stack(m.b[None], m.p[None], ks[None], f0s[None],
                              fails, real_k_rtol)
     fails.raise_first()
-    return modes.basis(0, m)
+    return ModeBasis(modes, m)
 
 
 def _companion_modes(media: MediumStack, py: np.ndarray,
@@ -395,4 +394,4 @@ def solve_qep(m: MslCoefficients,
     fails = PointFailures(1)
     modes = solve_qep_stack(MediumStack.of(m), fails, residual_rtol)
     fails.raise_first()
-    return modes.basis(0, m)
+    return ModeBasis(modes, m)

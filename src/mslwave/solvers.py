@@ -443,21 +443,20 @@ def _bound_stacked(defn: StructureDefinition, bind, secular,
 
 
 def escape_secular_stack(st: StackedStructure, variant: Variant | str,
-                         fails: PointFailures, modes: dict | None = None,
+                         fails: PointFailures,
                          bound_state: bool = False) -> np.ndarray:
     """Escape secular matrices Ms of G bound points, (G, 2N, 2N).
 
-    The stacked form of :func:`escape_secular`: ``modes`` maps media
-    keys to known :class:`ModeStack` objects, and a point that fails anywhere
-    (mode solve, decay check, single layer, fold) is recorded in
-    ``fails``; its Ms is not meaningful.
+    The stacked form of :func:`escape_secular`: a point that fails
+    anywhere (mode solve, decay check, single layer, fold) is recorded
+    in ``fails``; its Ms is not meaningful.
     """
     variant = Variant(variant)
     if variant not in (Variant.H, Variant.E):
         raise VariantError(f"escape problem supports H or E, got {variant}")
     g, n = st.g, st.n
     modes_of = mode_source(st.media, [st.left, st.right] + [
-        key for key, d in st.layers if d > 0.0], fails, modes)
+        key for key, d in st.layers if d > 0.0], fails)
     left, right = modes_of(st.left), modes_of(st.right)
     if bound_state:
         fails.add(~(_decays(left.ks[:, n:]) & _decays(right.ks[:, :n])),
@@ -486,7 +485,6 @@ def escape_secular_stack(st: StackedStructure, variant: Variant | str,
 
 
 def escape_secular(s: LayeredStructure, variant: Variant | str = Variant.H,
-                   bases: dict | None = None,
                    bound_state: bool = False) -> np.ndarray:
     """Secular matrix Ms of the escape problem, det Ms = 0 at eigenstates.
 
@@ -502,9 +500,8 @@ def escape_secular(s: LayeredStructure, variant: Variant | str = Variant.H,
     is the G = 1 case of :func:`escape_secular_stack`; failures raise.
     """
     fails = PointFailures(1)
-    ms = escape_secular_stack(
-        StackedStructure.of(s), variant, fails,
-        {m: basis.stack for m, basis in (bases or {}).items()}, bound_state)
+    ms = escape_secular_stack(StackedStructure.of(s), variant, fails,
+                              bound_state)
     fails.raise_first()
     return ms[0]
 
@@ -532,8 +529,7 @@ def escape_energy_scan(defn: StructureDefinition, e_grid,
 
 
 def periodic_dispersion_stack(st: StackedStructure, variant: Variant | str,
-                              q: float, fails: PointFailures,
-                              modes: dict | None = None) -> np.ndarray:
+                              q: float, fails: PointFailures) -> np.ndarray:
     """Bloch secular residuals of G bound periods at one q, shape (G,).
 
     The residual of the Bloch condition F(z+d) = F(z) e^{iqd} in the
@@ -543,18 +539,18 @@ def periodic_dispersion_stack(st: StackedStructure, variant: Variant | str,
     warning. The S form folds between, and expands the boundary values
     in the reduced bases of, the media that flank the period boundaries
     under periodic continuation (the last layer's medium on the left,
-    the first layer's on the right). ``modes`` maps media keys to known
-    :class:`ModeStack` objects; a point that fails anywhere (mode solve,
-    single layer, fold, a secular solve) is recorded in ``fails`` and
-    its value is NaN. This is the one-q case of :func:`_bloch_residuals`.
+    the first layer's on the right). A point that fails anywhere (mode
+    solve, single layer, fold, a secular solve) is recorded in ``fails``
+    and its value is NaN. This is the one-q case of
+    :func:`_bloch_residuals`.
     """
-    (values, q_fails), = _bloch_residuals(st, variant, [q], fails, modes)
+    (values, q_fails), = _bloch_residuals(st, variant, [q], fails)
     fails.add(q_fails.failed, q_fails.errors.__getitem__)
     return values
 
 
 def _bloch_residuals(st: StackedStructure, variant: Variant | str, qs,
-                     fails: PointFailures, modes: dict | None = None
+                     fails: PointFailures
                      ) -> list[tuple[np.ndarray, PointFailures]]:
     """The residuals of :func:`periodic_dispersion_stack` at every q of
     ``qs``, from one fold of the period: one ((G,) values, failures) pair
@@ -572,7 +568,7 @@ def _bloch_residuals(st: StackedStructure, variant: Variant | str, qs,
     n = st.n
     period = float(sum(d for _, d in st.layers))
     keys = [key for key, d in st.layers if d > 0.0]
-    modes_of = mode_source(st.media, keys, fails, modes)
+    modes_of = mode_source(st.media, keys, fails)
     ends = (keys[-1], keys[0]) if keys else None
     if variant is Variant.S and not keys:
         fails.add(np.ones(st.g, dtype=bool), lambda i: ModelingError(
@@ -635,16 +631,15 @@ def _s_form_residual(s: np.ndarray, ql: np.ndarray, qr: np.ndarray,
 
 
 def periodic_dispersion(period: LayeredStructure, variant: Variant | str,
-                        q: float, bases: dict | None = None) -> complex:
+                        q: float) -> complex:
     """Secular residual of the Bloch condition F(z+d) = F(z) e^{iqd}.
 
     The G = 1 case of :func:`periodic_dispersion_stack`, which describes
     the four determinant forms; failures raise.
     """
     fails = PointFailures(1)
-    value = periodic_dispersion_stack(
-        StackedStructure.of(period), variant, q, fails,
-        {m: basis.stack for m, basis in (bases or {}).items()})
+    value = periodic_dispersion_stack(StackedStructure.of(period), variant,
+                                      q, fails)
     fails.raise_first()
     return complex(value[0])
 

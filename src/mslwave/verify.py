@@ -17,11 +17,11 @@ import scipy.linalg
 from ._linalg import UNIT_ROUNDOFF, det_drift, solve_checked, sv_ratio
 from ._table import csv_text
 from .errors import MatrixOverflowError, MslError, PointFailures
-from .media import Layer, LayeredStructure, MslCoefficients
+from .media import Layer, LayeredStructure, MslCoefficients, StackedStructure
 from .propagators import (BlockMatrix, Variant, gamma_blocks, mode_matrix,
                           t_single)
 from .compose import fold_stack, structure_propagator
-from .qep import ModeBasis, solve_qep
+from .qep import ModeBasis, mode_source, solve_qep
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,11 @@ class StabilityReport:
 def _log_det_t(layers) -> complex:
     """phi = sum_i d_i tr M_i over (medium, thickness) pairs: the exact
     T of the layers has det T = e^phi."""
-    traces = {}  # by identity: hashing a medium hashes its arrays
+    traces = {}
     for m, _ in layers:
-        if id(m) not in traces:
-            traces[id(m)] = complex(np.trace(first_order_matrix(m).m))
-    return sum(traces[id(m)] * d for m, d in layers)
+        if m not in traces:
+            traces[m] = complex(np.trace(first_order_matrix(m).m))
+    return sum(traces[m] * d for m, d in layers)
 
 
 def t_det_drift(layers, t: np.ndarray,
@@ -309,12 +309,14 @@ def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
     :func:`fold_stack` (per-point thicknesses); the cells are those of
     per-scale :func:`structure_propagator` calls, and the T drift is
     :func:`t_det_drift` of each folded T. Per-medium facts (mode bases,
-    max |Im k|, the roundoff prefactor) are computed once per medium.
+    max |Im k|, the roundoff prefactor) are computed once per medium,
+    the mode bases in one :func:`mslwave.qep.mode_source` call.
     """
-    bases = {}
-    for m in [ly.medium for ly in s.layers] + [s.left, s.right]:
-        if m not in bases:
-            bases[m] = solve_qep(m)
+    media = [ly.medium for ly in s.layers] + [s.left, s.right]
+    fails = PointFailures(1)
+    modes_of = mode_source(StackedStructure.of(s).media, media, fails)
+    bases = {m: ModeBasis(modes_of(m), m) for m in media}
+    fails.raise_first()
     scales = np.asarray(scales, dtype=float)
     g = len(scales)
     if not g:

@@ -379,3 +379,30 @@ def test_e_fold_thin_layer_error_names_the_layer():
                Variant.E, lambda m: solve_qep(m).stack, fails)
     assert fails.failed.tolist() == [False, True]
     assert fails.errors[1].layer_index == 1
+
+
+@pytest.mark.parametrize("d_thin", [80.0, 1e-13])
+def test_fold_stack_mixes_shared_and_per_point_thicknesses(d_thin):
+    # the first layer's thickness and modes are shared by both points,
+    # the second's thickness is per point; at the second point T
+    # overflows (80) or E is not computable (1e-13). Every variant's fold
+    # gives each point's G = 1 fold bit for bit, or its error
+    d = np.array([0.5, d_thin])
+    bases = {m: solve_qep(m) for m in (EVANESCENT, BARRIER)}
+    for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
+        fails = PointFailures(2)
+        data, _, _ = fold_stack([(EVANESCENT, 1.0), (BARRIER, d)], variant,
+                                lambda m: bases[m].stack, fails,
+                                ends=(EVANESCENT, BARRIER))
+        for i in range(2):
+            s = LayeredStructure(left=EVANESCENT, right=BARRIER, layers=(
+                Layer(EVANESCENT, 1.0), Layer(BARRIER, float(d[i]))))
+            try:
+                want, _ = structure_propagator(s, variant, bases)
+            except MslError as exc:
+                got = fails.errors[i]
+                assert ((type(got), str(got), got.layer_index)
+                        == (type(exc), str(exc), exc.layer_index))
+                continue
+            assert not fails.failed[i]
+            assert data[i].tobytes() == want.data.tobytes()

@@ -12,7 +12,8 @@ from mslwave import (BlockMatrix, IllConditionedError, MatrixOverflowError,
                      make_sh_piezo_medium,
                      q_matrix, reblock_family, s_from_k, solve_qep,
                      t_det_drift, t_partitions, t_single)
-from mslwave.qep import Mode, ModeBasis
+from mslwave.propagators import _reference_phases
+from mslwave.qep import ModeBasis, ModeStack
 from conftest import (random_evanescent_medium, random_hermitian_medium,
                       random_partitionable_medium)
 
@@ -181,15 +182,9 @@ def test_h_base_independence_under_rescaling(rng):
     m, basis = random_partitionable_medium(rng, 2)
     d = 3.0
     scales = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    rescaled_modes = {
-        "plus": tuple(Mode(md.k, md.f0 * c, md.a0 * c)
-                      for md, c in zip(basis.plus, scales[:2])),
-        "minus": tuple(Mode(md.k, md.f0 * c, md.a0 * c)
-                       for md, c in zip(basis.minus, scales[2:])),
-    }
-    rebased = ModeBasis(plus=rescaled_modes["plus"],
-                        minus=rescaled_modes["minus"], medium=m,
-                        degenerate=basis.degenerate)
+    st = basis.stack
+    rebased = ModeBasis(ModeStack(st.ks, st.f0 * scales, st.a0 * scales,
+                                  st.degenerate), m)
     h1 = h_single_stable(m, d, basis)
     h2 = h_single_stable(m, d, rebased)
     assert rel_err(h2.data, h1.data) < 1e-12
@@ -418,9 +413,10 @@ def test_invert_e_is_compliance_from_swapped_rows():
     c = invert_variant(e)
     assert c.variant is Variant.C
     # compliance built directly: rows (F(z0); F(z)) over (A(z0); A(z))
-    basis = solve_qep(m)
-    from mslwave.propagators import _referenced_u_rows
-    f_z0, f_z, a_z0, a_z = _referenced_u_rows(basis, d)
+    modes = solve_qep(m).stack
+    at_z0, at_z = _reference_phases(modes, d)
+    f_z0, f_z = (modes.f0 * at_z0)[0], (modes.f0 * at_z)[0]
+    a_z0, a_z = (modes.a0 * at_z0)[0], (modes.a0 * at_z)[0]
     u_ff = np.vstack([f_z0, f_z])
     u_aa = np.vstack([a_z0, a_z])
     direct = u_ff @ np.linalg.inv(u_aa)

@@ -1,5 +1,7 @@
 import math
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -152,3 +154,37 @@ def test_mode_source_stacks_equal_one_medium_solves(rng, n):
         for field in ("ks", "f0", "a0", "degenerate"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     assert not fails.failed.any()
+
+
+@hyp.settings(max_examples=40, deadline=None)
+@hyp.given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3))
+def test_mode_basis_is_a_view_of_its_one_point_stack(seed, n):
+    # solve_qep's basis holds the G = 1 stack solve bit for bit, and its
+    # modes, wavenumbers and blocks are that stack's columns in order:
+    # the N plus modes, then the N minus modes
+    m, basis = random_partitionable_medium(np.random.default_rng(seed), n)
+    fails = PointFailures(1)
+    want = solve_qep_stack(MediumStack.of(m), fails)
+    assert not fails.failed.any()
+    for field in ("ks", "f0", "a0", "degenerate"):
+        assert (getattr(basis.stack, field).tobytes()
+                == getattr(want, field).tobytes())
+    ks, f0, a0 = want.ks[0], want.f0[0], want.a0[0]
+    assert basis.n == n
+    assert basis.degenerate == bool(want.degenerate[0])
+    assert basis.ks.tobytes() == ks.tobytes()
+    assert len(basis.modes) == 2 * n
+    for j, md in enumerate(basis.modes):
+        assert md.k == ks[j]
+        assert md.f0.tobytes() == f0[:, j].tobytes()
+        assert md.a0.tobytes() == a0[:, j].tobytes()
+    for modes, cols in ((basis.plus, range(n)), (basis.minus, range(n, 2 * n))):
+        assert [md.k for md in modes] == [ks[j] for j in cols]
+        assert all(md.f0.tobytes() == f0[:, j].tobytes()
+                   for md, j in zip(modes, cols))
+    for block, u, cols in ((basis.f0_plus, f0, slice(0, n)),
+                           (basis.a0_plus, a0, slice(0, n)),
+                           (basis.f0_minus, f0, slice(n, 2 * n)),
+                           (basis.a0_minus, a0, slice(n, 2 * n))):
+        assert block.shape == (n, n)
+        np.testing.assert_array_equal(block, u[:, cols])

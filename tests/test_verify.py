@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mslwave import (Layer, LayeredStructure, MatrixOverflowError, MslError,
+                     MslCoefficients, PartitionError, SingularMatrixError,
                      default_c_estimate, det_unimodularity_scan,
                      expm_propagator, first_order_matrix, make_scalar_medium,
                      rk4_propagator, roundoff_bound, solve_qep,
@@ -209,6 +210,24 @@ def test_report_zero_length_sweep():
     assert report.rows == ()
     text = report.to_csv(include_meta=False)
     assert text.strip().splitlines() == [",".join(report.columns)]
+
+
+def test_report_raises_the_mode_error_of_the_first_medium_read():
+    # two media whose QEP fails with different errors, one a layer and
+    # one the left half-space: the layer's error is raised, because the
+    # media are read layers first, then the ends; swapping them swaps it
+    singular_b = MslCoefficients(b=[[0.0]], p=[[0.0]], y=[[0.0]], w=[[1.0]])
+    one_sided = MslCoefficients(b=[[1.0]], p=[[5.0j]], y=[[5.0j]],
+                                w=[[-1.0]])
+    for layer, left, error in ((singular_b, one_sided, SingularMatrixError),
+                               (one_sided, singular_b, PartitionError)):
+        s = LayeredStructure(left=left, layers=(Layer(layer, 1.0),),
+                             right=EVANESCENT)
+        with pytest.raises(error) as err:
+            variant_comparison_report(s, [1.0])
+        with pytest.raises(error) as alone:
+            solve_qep(layer)
+        assert str(err.value) == str(alone.value)
 
 
 def per_scale_rows(s, scales):
