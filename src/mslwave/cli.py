@@ -192,36 +192,43 @@ def _cmd_stability(args) -> int:
     return EXIT_OK
 
 
+# every option of the commands, in the order --help lists them
+_OPTIONS = {
+    "--structure": dict(required=True, help="structure file path"),
+    "--grid": dict(required=True, help="start:stop:count"),
+    "--range": dict(required=True, help="lo:hi"),
+    "--variant": dict(choices=("t", "h", "e", "s"), default="h"),
+    "--tol": dict(type=float, default=1e-10),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--allow-lossy": dict(action="store_true"),
+    "--no-meta": dict(action="store_true"),
+    "--omega": dict(type=float, default=None,
+                    help="angular frequency (piezo problems)"),
+    "--energy": dict(type=float, default=0.0,
+                     help="binding energy for quantum media (stability)"),
+}
+_OUTPUT = ("--out", "--format", "--no-meta")
+# each command takes only the options its handler reads
+_COMMANDS = {
+    "validate": ("validate a structure file", ("--allow-lossy",)),
+    "bands": ("Bloch band structure",
+              ("--grid", "--range", "--variant", "--tol") + _OUTPUT),
+    "escape": ("escape/bound-state roots",
+               ("--grid", "--variant", "--tol", "--omega") + _OUTPUT),
+    "stability": ("variant stability sweep",
+                  ("--grid", "--omega", "--energy") + _OUTPUT),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mslwave", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, grid=False, rng=False, variant=False):
-        p.add_argument("--structure", required=True, help="structure file path")
-        if grid:
-            p.add_argument("--grid", required=True, help="start:stop:count")
-        if rng:
-            p.add_argument("--range", required=True, help="lo:hi")
-        if variant:
-            p.add_argument("--variant", choices=("t", "h", "e", "s"),
-                           default="h")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--allow-lossy", action="store_true")
-        p.add_argument("--no-meta", action="store_true")
-        p.add_argument("--omega", type=float, default=None,
-                       help="angular frequency (piezo problems)")
-        p.add_argument("--energy", type=float, default=0.0,
-                       help="binding energy for quantum media (stability)")
-
-    common(sub.add_parser("validate", help="validate a structure file"))
-    common(sub.add_parser("bands", help="Bloch band structure"),
-           grid=True, rng=True, variant=True)
-    common(sub.add_parser("escape", help="escape/bound-state roots"),
-           grid=True, variant=True)
-    common(sub.add_parser("stability", help="variant stability sweep"),
-           grid=True)
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, kwargs in _OPTIONS.items():
+            if flag == "--structure" or flag in options:
+                p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -11,8 +11,9 @@ with the H, E and S rules :func:`compose_h_stack`,
 :func:`compose_e_stack` and :func:`star_stack`, and the S interfaces
 :func:`interface_stack`), recording failures per point. Each point may
 carry its own thicknesses and its own media, so one fold covers a
-thickness or an energy sweep. :func:`structure_propagator`,
-:func:`compose_h`, :func:`compose_e`, :func:`star_product` and
+thickness or an energy sweep; :func:`fold_region` adds the regions
+without layers. :func:`structure_propagator`, :func:`compose_h`,
+:func:`compose_e`, :func:`star_product` and
 :func:`interface_scattering` are their G = 1 case.
 """
 
@@ -136,24 +137,6 @@ def compose_e_stack(e_m: np.ndarray, e_rest: np.ndarray, fails: PointFailures,
     return data, sv
 
 
-def _step_of(index: int, singular_values: np.ndarray) -> CompositionStep:
-    return CompositionStep(index=index,
-                           factor_norm=float(singular_values[0]),
-                           factor_sigma_min=float(singular_values[-1]))
-
-
-def _compose_traced(variant: Variant, m: BlockMatrix, rest: BlockMatrix,
-                    index: int) -> tuple[BlockMatrix, CompositionStep]:
-    if m.variant is not variant or rest.variant is not variant:
-        raise VariantError(f"compose_{variant.value.lower()} needs two "
-                           f"{variant} matrices")
-    fails = PointFailures(1)
-    compose = compose_h_stack if variant is Variant.H else compose_e_stack
-    data, sv = compose(m.data[None], rest.data[None], fails, trace=True)
-    fails.raise_first()
-    return BlockMatrix(variant=variant, data=data[0]), _step_of(index, sv[0])
-
-
 def compose_h(h_m: BlockMatrix, h_rest: BlockMatrix) -> BlockMatrix:
     """Hybrid matrix of layer m joined with the stack to its right.
 
@@ -161,17 +144,28 @@ def compose_h(h_m: BlockMatrix, h_rest: BlockMatrix) -> BlockMatrix:
     from zero to infinity; a singular G marks a physical resonance and
     raises so root finders can bracket it.
     """
-    return _compose_traced(Variant.H, h_m, h_rest, 0)[0]
+    if h_m.variant is not Variant.H or h_rest.variant is not Variant.H:
+        raise VariantError("compose_h needs two H matrices")
+    fails = PointFailures(1)
+    data, _ = compose_h_stack(h_m.data[None], h_rest.data[None], fails)
+    fails.raise_first()
+    return BlockMatrix(variant=Variant.H, data=data[0])
 
 
 def compose_e(e_m: BlockMatrix, e_rest: BlockMatrix) -> BlockMatrix:
     """Stiffness matrix of layer m joined with the stack to its right.
 
     Inner factor D = E^rest_11 - E^m_22 is regular for thick stacks but
-    its norm grows like 1/d for thin layers; the trace records that
-    growth (the roundoff-accumulation regime).
+    its norm grows like 1/d for thin layers; the trace of a fold
+    (:func:`structure_propagator`) records that growth (the
+    roundoff-accumulation regime).
     """
-    return _compose_traced(Variant.E, e_m, e_rest, 0)[0]
+    if e_m.variant is not Variant.E or e_rest.variant is not Variant.E:
+        raise VariantError("compose_e needs two E matrices")
+    fails = PointFailures(1)
+    data, _ = compose_e_stack(e_m.data[None], e_rest.data[None], fails)
+    fails.raise_first()
+    return BlockMatrix(variant=Variant.E, data=data[0])
 
 
 def star_stack(y: np.ndarray, x: np.ndarray, fails: PointFailures,
@@ -242,10 +236,6 @@ def interface_scattering(basis_left: ModeBasis,
     data = interface_stack(basis_left.stack, basis_right.stack, fails)
     fails.raise_first()
     return BlockMatrix(variant=Variant.S, data=data[0])
-
-
-def t_identity(n: int) -> BlockMatrix:
-    return BlockMatrix(variant=Variant.T, data=np.eye(2 * n, dtype=complex))
 
 
 def propagation_stack(modes: ModeStack, d) -> np.ndarray:
@@ -337,9 +327,9 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
     """Fold the single-layer matrices of G points under one variant's
     rule, right to left.
 
-    ``layers`` lists (key, d) with at least one layer; each d is either
-    one thickness > 0 shared by all points or a (G,) array of per-point
-    thicknesses > 0. ``modes_of(key)`` gives that medium's
+    ``layers`` lists (key, d), at least one layer except under S; each
+    d is either one thickness > 0 shared by all points or a (G,) array
+    of per-point thicknesses > 0. ``modes_of(key)`` gives that medium's
     :class:`ModeStack`, of G points or of one point shared by all; it is
     called as the fold reaches each layer or end, right to left, so a
     :func:`mslwave.qep.mode_source` records each medium's failures in
@@ -377,12 +367,39 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
     return acc, (cond if len(layers) == 1 else None), steps
 
 
+def fold_region(layers, variant: Variant, modes_of, fails: PointFailures,
+                n: int, trace: bool = False, ends=None):
+    """:func:`fold_stack` of a region of G points of system size ``n``
+    that may have no layers.
+
+    An empty T region is the identity and an empty H region the
+    antidiagonal identity; an empty S region is the bare interface
+    between ``ends``, from :func:`fold_stack`'s own S path. An empty E
+    region is not computable: every point fails with
+    :class:`IllConditionedError`. Returns :func:`fold_stack`'s (data,
+    cond, steps), the data None once every point has failed.
+    """
+    if not layers and variant is Variant.E:
+        fails.add(np.ones(fails.failed.shape, dtype=bool), lambda i:
+                  IllConditionedError(
+                      "E matrix of a zero-thickness region is not computable"))
+    if fails.all_failed:
+        return None, None, []
+    if layers or variant is Variant.S:
+        data, cond, steps = fold_stack(layers, variant, modes_of, fails,
+                                       trace=trace, ends=ends)
+        return (None if fails.all_failed else data), cond, steps
+    empty = (np.eye(2 * n, dtype=complex) if variant is Variant.T
+             else antidiagonal_identity(n).data)
+    return np.tile(empty, (len(fails.failed), 1, 1)), None, []
+
+
 def structure_propagator(s: LayeredStructure, variant: Variant | str,
                          bases: dict[MslCoefficients, ModeBasis] | None = None
                          ) -> tuple[BlockMatrix, CompositionTrace]:
     """Fold the per-layer matrices of region M under one variant's rule.
 
-    The G = 1 case of :func:`fold_stack`, whose failures it raises. The
+    The G = 1 case of :func:`fold_region`, whose failures it raises. The
     fold runs from the rightmost layer toward the left, matching the
     recursion the composition rules are written in. Layers of zero
     thickness are skipped (they are exact neutral elements). For the S
@@ -407,25 +424,12 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
     fails = PointFailures(1)
     modes_of = mode_source(StackedStructure.of(s).media, keys, fails, {
         m: basis.stack for m, basis in (bases or {}).items()})
-    n = s.n
-    if not layers:
-        if variant is Variant.T:
-            return t_identity(n), CompositionTrace()
-        if variant is Variant.H:
-            return antidiagonal_identity(n), CompositionTrace()
-        if variant is Variant.S:
-            left, right = map(modes_of, ends)
-            fails.raise_first()
-            return (interface_scattering(ModeBasis(left, s.left),
-                                         ModeBasis(right, s.right)),
-                    CompositionTrace())
-        raise IllConditionedError(
-            "E matrix of a zero-thickness region is not computable")
-
-    data, cond, svs = fold_stack(layers, variant, modes_of, fails, trace=True,
-                                 ends=ends)
+    data, cond, svs = fold_region(layers, variant, modes_of, fails, s.n,
+                                  trace=True, ends=ends)
     fails.raise_first()
-    steps = [_step_of(i, sv[0]) for i, sv in enumerate(svs)]
+    steps = [CompositionStep(index=i, factor_norm=float(sv[0, 0]),
+                             factor_sigma_min=float(sv[0, -1]))
+             for i, sv in enumerate(svs)]
     return (BlockMatrix(variant=variant, data=data[0],
                         conditioning=None if cond is None else float(cond[0])),
             CompositionTrace(steps=tuple(steps)))

@@ -12,14 +12,17 @@ kernels (:func:`escape_secular_stack`, :func:`periodic_dispersion_stack`,
 the latter in all four variants). Each block evaluation solves the
 modes of every medium it reads (the half-spaces and the layers of
 nonzero thickness) in one QEP call (:func:`mslwave.qep.mode_source`),
-and a medium nothing reads is never solved. :func:`scan_and_refine`
-refines all brackets of a scan in lockstep, so refinement runs in
-blocks too: sign changes by Illinois regula falsi, which drops pole and
-jump crossings after a few rounds, and minima of |f| by golden section.
-A band scan samples its energy grid once for all q: the period's matrix
-depends on the energy only, so each block is folded once and closed
-with every q's e^{iqd}; each q's brackets are then refined on their
-own. The Kronig-Penney residuals apply the paper's scalar relations to
+and a medium nothing reads is never solved. Every scan runs through one
+entry, :func:`_scan`, given a block evaluator: a stacked one for the
+escape and SH-wave scans, or, from :func:`scan_and_refine`, a plain
+callable looped point by point. It refines all brackets of a scan in
+lockstep, so refinement runs in blocks too: sign changes by Illinois
+regula falsi, which drops pole and jump crossings after a few rounds,
+and minima of |f| by golden section. A band scan samples its energy
+grid once for all q: the period's matrix depends on the energy only,
+so each block is folded once and closed with every q's e^{iqd}; each
+q's brackets are then refined on their own, as :func:`_scan` refines
+them. The Kronig-Penney residuals apply the paper's scalar relations to
 one two-layer fold, with both layers' modes from one QEP call.
 """
 
@@ -35,13 +38,11 @@ import scipy.optimize
 
 from ._linalg import solve_stack
 from ._table import csv_text
-from .compose import fold_stack
-from .errors import (IllConditionedError, ModelingError, MslError,
-                     PointFailures, VariantError)
+from .compose import fold_region, fold_stack
+from .errors import ModelingError, MslError, PointFailures, VariantError
 from .media import (Layer, LayeredStructure, StackedStructure,
                     make_quantum_medium)
-from .propagators import (BlockMatrix, Variant, antidiagonal_identity,
-                          k_matrix, mode_matrix, s_from_k)
+from .propagators import BlockMatrix, Variant, k_matrix, mode_matrix, s_from_k
 # solve_qep is bound here for perfbench/smoke_test.py, which checks that
 # the tracer patches and restores it in every module
 from .qep import mode_source, solve_qep  # noqa: F401
@@ -116,14 +117,6 @@ class SecularScan:
             "roots": [{"value": r.value, "residual": r.residual,
                        "bracket": list(r.bracket)} for r in self.roots],
         }
-
-
-class _Stacked:
-    """A secular function that evaluates a whole block of points:
-    ``evaluate(xs)`` returns (values, masked) arrays for the 1-D ``xs``."""
-
-    def __init__(self, evaluate):
-        self.evaluate = evaluate
 
 
 def _pointwise(func):
@@ -292,10 +285,8 @@ def _golden_all(evaluate, a, c, tol: float):
     return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
-def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
-                    param_name: str = "x",
-                    root_residual_rfrac: float = ROOT_RESIDUAL_RFRAC
-                    ) -> SecularScan:
+def scan_and_refine(func, grid, tol: float = 1e-10,
+                    param_name: str = "x") -> SecularScan:
     """Sample a secular function, bracket its zeros, and refine them.
 
     Points where ``func`` raises a library error are masked; brackets
@@ -311,15 +302,18 @@ def scan_and_refine(func, grid, tol: float = 1e-10, mode: str = "auto",
 
     The grid is evaluated in blocks of SCAN_BLOCK points and all brackets
     are refined in lockstep, one block evaluation per round for all of
-    them. A plain callable is evaluated point by point within each
-    block; the escape and SH-wave scans pass a stacked evaluator.
+    them; ``func`` is evaluated point by point within each block.
     """
+    return _scan(_pointwise(func), grid, tol, param_name)
+
+
+def _scan(evaluate, grid, tol: float, param_name: str) -> SecularScan:
+    """:func:`scan_and_refine` through the block evaluator ``evaluate``:
+    ``evaluate(xs)`` returns the (values, masked) arrays of the 1-D
+    ``xs``."""
     grid = _scan_grid(grid)
-    evaluate = (func.evaluate if isinstance(func, _Stacked)
-                else _pointwise(func))
     values, masked = _evaluate(evaluate, grid)
-    return _refine_samples(evaluate, grid, values, masked, tol, mode,
-                           param_name, root_residual_rfrac)
+    return _refine_samples(evaluate, grid, values, masked, tol, param_name)
 
 
 def _scan_grid(grid) -> np.ndarray:
@@ -331,9 +325,8 @@ def _scan_grid(grid) -> np.ndarray:
 
 
 def _refine_samples(evaluate, grid: np.ndarray, values: np.ndarray,
-                    masked: np.ndarray, tol: float, mode: str,
-                    param_name: str, root_residual_rfrac: float
-                    ) -> SecularScan:
+                    masked: np.ndarray, tol: float,
+                    param_name: str) -> SecularScan:
     """The scan of :func:`scan_and_refine` from the sampled ``values``
     and ``masked`` of its ``grid``: bracket, refine through the block
     evaluator ``evaluate`` and test the residuals."""
@@ -343,19 +336,15 @@ def _refine_samples(evaluate, grid: np.ndarray, values: np.ndarray,
     usable = ~masked & np.isfinite(values)
 
     finite = values[usable]
-    if mode == "auto":
-        if len(finite) == 0:
-            mode = "sign"
-        else:
-            scale = float(np.max(np.abs(finite)))
-            imag_frac = (float(np.max(np.abs(finite.imag))) / scale
-                         if scale > 0 else 0.0)
-            mode = "sign" if imag_frac <= 1e-9 else "minimum"
-    if mode not in ("sign", "minimum"):
-        raise ValueError(f"unknown scan mode {mode!r}")
+    mode = "sign"
+    if len(finite):
+        scale = float(np.max(np.abs(finite)))
+        imag_frac = (float(np.max(np.abs(finite.imag))) / scale
+                     if scale > 0 else 0.0)
+        mode = "sign" if imag_frac <= 1e-9 else "minimum"
 
     value_scale = float(np.median(np.abs(finite))) if len(finite) else 0.0
-    residual_limit = max(root_residual_rfrac * value_scale, 1e-280)
+    residual_limit = max(ROOT_RESIDUAL_RFRAC * value_scale, 1e-280)
 
     if mode == "sign":
         re = values.real
@@ -396,25 +385,6 @@ def _refine_samples(evaluate, grid: np.ndarray, values: np.ndarray,
                        roots=tuple(roots), mode=mode)
 
 
-def _fold_region(st: StackedStructure, variant: Variant,
-                 fails: PointFailures, modes_of,
-                 ends=None) -> np.ndarray | None:
-    """Data (G, 2N, 2N) of the layers of ``st`` folded under ``variant``
-    as :func:`structure_propagator` folds them, the S fold between the
-    half-space keys ``ends``; None once every point has failed."""
-    layers = [(key, d) for key, d in st.layers if d > 0.0]
-    if not layers and variant is Variant.E:
-        fails.add(np.ones(st.g, dtype=bool), lambda i: IllConditionedError(
-            "E matrix of a zero-thickness region is not computable"))
-    if fails.all_failed:
-        return None
-    if layers:
-        return fold_stack(layers, variant, modes_of, fails, ends=ends)[0]
-    empty = (np.eye(2 * st.n, dtype=complex) if variant is Variant.T
-             else antidiagonal_identity(st.n).data)
-    return np.tile(empty, (st.g, 1, 1))
-
-
 def _det_live(m: np.ndarray, fails: PointFailures) -> np.ndarray:
     """det of every live matrix of a (G, n, n) stack; NaN at failed
     points."""
@@ -425,7 +395,7 @@ def _det_live(m: np.ndarray, fails: PointFailures) -> np.ndarray:
 
 
 def _bound_stacked(defn: StructureDefinition, bind, secular,
-                   lead: tuple = ()) -> _Stacked:
+                   lead: tuple = ()):
     """Block evaluator of ``secular(st, fails)``, the (*lead, G) secular
     values and masks of ``defn`` bound at a block's G points by
     ``bind(points)``."""
@@ -439,7 +409,7 @@ def _bound_stacked(defn: StructureDefinition, bind, secular,
                     np.ones(shape, dtype=bool))
         return secular(st, fails)
 
-    return _Stacked(evaluate)
+    return evaluate
 
 
 def escape_secular_stack(st: StackedStructure, variant: Variant | str,
@@ -455,8 +425,9 @@ def escape_secular_stack(st: StackedStructure, variant: Variant | str,
     if variant not in (Variant.H, Variant.E):
         raise VariantError(f"escape problem supports H or E, got {variant}")
     g, n = st.g, st.n
+    layers = [(key, d) for key, d in st.layers if d > 0.0]
     modes_of = mode_source(st.media, [st.left, st.right] + [
-        key for key, d in st.layers if d > 0.0], fails)
+        key for key, _ in layers], fails)
     left, right = modes_of(st.left), modes_of(st.right)
     if bound_state:
         fails.add(~(_decays(left.ks[:, n:]) & _decays(right.ks[:, :n])),
@@ -464,7 +435,7 @@ def escape_secular_stack(st: StackedStructure, variant: Variant | str,
                       "bound-state problem requires decaying outgoing modes "
                       "in both half-spaces (propagating mode found)"))
 
-    inner = _fold_region(st, variant, fails, modes_of)
+    inner = fold_region(layers, variant, modes_of, fails, n)[0]
     if inner is None:
         return np.full((g, 2 * n, 2 * n), np.nan, dtype=complex)
     h11, h12 = inner[:, :n, :n], inner[:, :n, n:]
@@ -515,8 +486,7 @@ def _escape_scan(defn: StructureDefinition, grid, variant, tol: float,
                                               bound_state=bound_state),
                          fails), fails.failed
 
-    return scan_and_refine(_bound_stacked(defn, bind, secular), grid,
-                           tol=tol, param_name=param_name)
+    return _scan(_bound_stacked(defn, bind, secular), grid, tol, param_name)
 
 
 def escape_energy_scan(defn: StructureDefinition, e_grid,
@@ -567,13 +537,14 @@ def _bloch_residuals(st: StackedStructure, variant: Variant | str, qs,
             f"periodic dispersion supports T/H/E/S, got {variant}")
     n = st.n
     period = float(sum(d for _, d in st.layers))
-    keys = [key for key, d in st.layers if d > 0.0]
+    layers = [(key, d) for key, d in st.layers if d > 0.0]
+    keys = [key for key, _ in layers]
     modes_of = mode_source(st.media, keys, fails)
     ends = (keys[-1], keys[0]) if keys else None
     if variant is Variant.S and not keys:
         fails.add(np.ones(st.g, dtype=bool), lambda i: ModelingError(
             "periodic S form needs a non-empty period"))
-    inner = _fold_region(st, variant, fails, modes_of, ends)
+    inner = fold_region(layers, variant, modes_of, fails, n, ends=ends)[0]
     if inner is None:
         return [(np.full(st.g, np.nan, dtype=complex), fails.copy())
                 for _ in qs]
@@ -803,7 +774,7 @@ def band_scans(period: StructureDefinition, q_grid, e_range,
     sampled once for all q: each block of SCAN_BLOCK energies is bound
     and folded once, and every q's Bloch closure is applied to that fold
     (:func:`_bloch_residuals`). Each q's brackets are then refined as
-    :func:`scan_and_refine` refines them, through
+    :func:`_scan` refines them, through
     :func:`periodic_dispersion_stack` at that q, so every scan equals
     the one-q scan bit for bit. Each scan's ``masked`` array marks the
     grid energies where its evaluation failed.
@@ -817,7 +788,7 @@ def band_scans(period: StructureDefinition, q_grid, e_range,
 
     def bound(secular, lead=()):
         return _bound_stacked(period, lambda energies: {"energy": energies},
-                              secular, lead).evaluate
+                              secular, lead)
 
     def sample(st, fails):
         residuals = _bloch_residuals(st, variant, qs, fails)
@@ -830,8 +801,7 @@ def band_scans(period: StructureDefinition, q_grid, e_range,
 
     values, masked = _evaluate(bound(sample, (len(qs),)), e_grid)
     return [_refine_samples(at_q(q), e_grid, values[i], masked[i], tol,
-                            mode="auto", param_name="energy",
-                            root_residual_rfrac=ROOT_RESIDUAL_RFRAC)
+                            "energy")
             for i, q in enumerate(qs)]
 
 

@@ -18,9 +18,9 @@ Complex matrix entries are nested arrays of ``[re, im]`` pairs; bare
 numbers are read as real. Units are documented per problem class, not
 enforced. ``quantum`` materials need an energy to become concrete media
 and ``sh_piezo`` materials need (omega, kappa_x); both are supplied at
-bind time so solvers can sweep them, one point at a time
-(:meth:`StructureDefinition.bind`) or a whole array of points at once
-(:meth:`StructureDefinition.bind_stack`).
+bind time so solvers can sweep them, a whole array of points at once
+(:meth:`StructureDefinition.bind_stack`) or one point, its G = 1 case
+(:meth:`StructureDefinition.bind`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import PointFailures, StructuralError, StructureFileError
 from .media import (Layer, LayeredStructure, MediumStack, MslCoefficients,
-                    ShPiezoParams, StackedStructure, make_quantum_medium,
-                    make_sh_piezo_medium, quantum_coefficients,
+                    StackedStructure, quantum_coefficients,
                     sh_piezo_coefficients)
 
 _KINDS = ("msl", "quantum", "sh_piezo")
@@ -82,19 +81,6 @@ class MaterialDef:
     n: int
     fields: dict
 
-    def bind(self, energy: float, omega: float, kappa_x: float) -> MslCoefficients:
-        if self.kind == "msl":
-            return MslCoefficients(label=self.name, **self.fields)
-        if self.kind == "quantum":
-            return make_quantum_medium(
-                mass=self.fields["mass"], potential=self.fields["potential"],
-                energy=energy, hbar2_over_2=self.fields["hbar2_over_2"],
-                label=self.name)
-        params = ShPiezoParams(rho=self.fields["rho"], c44=self.fields["c44"],
-                               e15=self.fields["e15"], eps11=self.fields["eps11"],
-                               omega=omega, kappa_x=kappa_x)
-        return make_sh_piezo_medium(params, label=self.name)
-
     def bind_stack(self, energy: np.ndarray, omega: np.ndarray,
                    kappa_x: np.ndarray) -> MediumStack:
         """The medium at G points given as equally long 1-D arrays."""
@@ -126,9 +112,17 @@ class StructureDefinition:
 
     def bind(self, energy: float = 0.0, omega: float = 1.0,
              kappa_x: float = 1.0) -> LayeredStructure:
-        """Build concrete media and return the bound structure."""
-        media = {name: mat.bind(energy, omega, kappa_x)
-                 for name, mat in self.materials.items()}
+        """Build concrete media and return the bound structure.
+
+        The one-point case of :meth:`bind_stack`, whose first failure it
+        raises; each medium is labelled with its material name.
+        """
+        fails = PointFailures(1)
+        st = self.bind_stack(fails, energy, omega, kappa_x)
+        fails.raise_first()
+        media = {name: MslCoefficients(m.b[0], m.p[0], m.y[0], m.w[0],
+                                       label=name)
+                 for name, m in st.media.items()}
         return LayeredStructure(
             left=media[self.left],
             layers=tuple(Layer(media[name], d) for name, d in self.layers),
@@ -140,9 +134,9 @@ class StructureDefinition:
 
         ``energy``, ``omega`` and ``kappa_x`` broadcast to one 1-D array
         of G points; media are keyed by material name. A point whose
-        media :meth:`bind` would reject (non-finite coefficients) is
-        recorded in ``fails``; a material that cannot bind at all fails
-        every point and is left out.
+        media have non-finite coefficients is recorded in ``fails``; a
+        material that cannot bind at all fails every point and is left
+        out.
         """
         points = [np.atleast_1d(np.asarray(v, dtype=float))
                   for v in (energy, omega, kappa_x)]

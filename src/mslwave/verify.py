@@ -16,11 +16,11 @@ import scipy.linalg
 
 from ._linalg import UNIT_ROUNDOFF, det_drift, solve_checked, sv_ratio
 from ._table import csv_text
-from .errors import MatrixOverflowError, MslError, PointFailures
+from .errors import MatrixOverflowError, PointFailures
 from .media import Layer, LayeredStructure, MslCoefficients, StackedStructure
 from .propagators import (BlockMatrix, Variant, gamma_blocks, mode_matrix,
                           t_single)
-from .compose import fold_stack, structure_propagator
+from .compose import fold_region
 from .qep import ModeBasis, mode_source, solve_qep
 
 
@@ -220,7 +220,9 @@ def roundoff_bound(m: MslCoefficients, d,
         c_estimate = default_c_estimate(basis)
     growth = np.exp(np.minimum(basis.max_abs_im_k() * np.asarray(d, float),
                                709.0))
-    bound = c_estimate * growth * UNIT_ROUNDOFF
+    # u first: u * growth cannot overflow where c * growth can, and
+    # scaling by the power of two u is exact, so no finite bound changes
+    bound = c_estimate * (UNIT_ROUNDOFF * growth)
     return float(bound) if np.ndim(d) == 0 else bound
 
 
@@ -243,27 +245,6 @@ def _scaled_thicknesses(s: LayeredStructure, scales: np.ndarray) -> np.ndarray:
         i, j = np.argwhere(bad)[0]
         Layer(s.layers[j].medium, float(d[i, j]))
     return d
-
-
-def _fold_points(s: LayeredStructure, layers, variant: Variant, bases,
-                 g: int):
-    """:func:`fold_stack` of ``layers`` over g points, as (data, cond,
-    steps, fails). A region without layers does not depend on the
-    points: :func:`structure_propagator` folds it once, and its result
-    (or error) is broadcast."""
-    fails = PointFailures(g)
-    if layers:
-        return (*fold_stack(layers, variant, lambda m: bases[m].stack, fails,
-                            trace=variant is not Variant.T,
-                            ends=(s.left, s.right)), fails)
-    try:
-        bare, _ = structure_propagator(
-            LayeredStructure(left=s.left, layers=(), right=s.right),
-            variant, bases)
-    except MslError as exc:
-        fails.add(np.ones(g, dtype=bool), lambda i: exc)
-        return None, None, [], fails
-    return np.broadcast_to(bare.data, (g,) + bare.data.shape), None, [], fails
 
 
 def _max_over(values, default: float, g: int) -> np.ndarray:
@@ -306,9 +287,10 @@ def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
     Failures are recorded as data (status columns), never raised, so a
     sweep can cross from the stable into the overflow regime and back.
     Each variant is folded once, with the scales as the G points of
-    :func:`fold_stack` (per-point thicknesses); the cells are those of
-    per-scale :func:`structure_propagator` calls, and the T drift is
-    :func:`t_det_drift` of each folded T. Per-medium facts (mode bases,
+    :func:`mslwave.compose.fold_region` (per-point thicknesses); the
+    cells are those of per-scale
+    :func:`mslwave.compose.structure_propagator` calls, and the T drift
+    is :func:`t_det_drift` of each folded T. Per-medium facts (mode bases,
     max |Im k|, the roundoff prefactor) are computed once per medium,
     the mode bases in one :func:`mslwave.qep.mode_source` call.
     """
@@ -339,8 +321,10 @@ def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
         layers = [(s.layers[j].medium, d[points, j])
                   for j in np.flatnonzero(pattern)]
         for variant in (Variant.T, Variant.H, Variant.S, Variant.E):
-            data, cond, steps, fails = _fold_points(s, layers, variant, bases,
-                                                    len(points))
+            fails = PointFailures(len(points))
+            data, cond, steps = fold_region(
+                layers, variant, lambda m: bases[m].stack, fails, s.n,
+                trace=variant is not Variant.T, ends=(s.left, s.right))
             ok = np.flatnonzero(~fails.failed)
             live = dict(zip(ok, _live_cells(variant, layers, bases, data,
                                             cond, steps, ok)))

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mslwave import (Variant, band_scans, band_structure, cli, connect_bands,
-                     parse_structure)
+from mslwave import (Variant, __version__, band_scans, band_structure, cli,
+                     connect_bands, parse_structure, variant_comparison_report)
 
 
 def kp_doc(barrier_thickness):
@@ -212,3 +212,94 @@ def test_cli_piezo_escape_runs_the_h_variant(tmp_path):
     header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
     assert header == ["v_s", "root", "residual", "variant"]
     assert rows and all(row[3] == "h" for row in rows)
+
+
+def msl_doc(b, w):
+    return {"materials": {"m": {"kind": "msl", "b": [[b]], "p": [[0.0]],
+                                "y": [[0.0]], "w": [[w]]}},
+            "left": "m", "right": "m",
+            "layers": [{"material": "m", "thickness": 1.0}]}
+
+
+@pytest.mark.parametrize("doc,args,code", [
+    (kp_doc(1.0), [], cli.EXIT_OK),
+    ("{", [], cli.EXIT_INPUT),
+    # a complex w is lossy: W != W^H
+    (msl_doc(1.0, [1.0, 0.5]), [], cli.EXIT_VALIDATION),
+    (msl_doc(1.0, [1.0, 0.5]), ["--allow-lossy"], cli.EXIT_OK),
+    # a singular b fails whatever is allowed
+    (msl_doc(0.0, 1.0), ["--allow-lossy"], cli.EXIT_VALIDATION),
+], ids=["valid", "unparseable", "lossy", "lossy-allowed", "singular"])
+def test_cli_validate_exit_codes(tmp_path, capsys, doc, args, code):
+    path = tmp_path / "structure.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc),
+                    encoding="utf-8")
+    assert cli.main(["validate", "--structure", str(path), *args]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("pass --allow-lossy" in captured.err) == (
+        code == cli.EXIT_VALIDATION and not args)
+
+
+@pytest.mark.parametrize("grid,scales", [
+    ("0.5:3:4", np.linspace(0.5, 3.0, 4)),
+    # a grid spanning more than a factor 100 is sampled geometrically
+    ("0.01:3:4", np.geomspace(0.01, 3.0, 4)),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_stability_rows_are_the_report(tmp_path, fmt, grid, scales):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(kp_doc(1.0)), encoding="utf-8")
+    out = tmp_path / f"stability.{fmt}"
+    assert cli.main(["stability", "--structure", str(path), "--grid", grid,
+                     "--energy", "2.0", "--format", fmt,
+                     "--out", str(out)]) == cli.EXIT_OK
+    report = variant_comparison_report(
+        parse_structure(json.dumps(kp_doc(1.0))).bind(energy=2.0), scales)
+    assert [row[0] for row in report.rows] == list(scales)
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        doc = json.loads(text)
+        assert doc["meta"] == {"tool": "mslwave", "version": __version__}
+        assert doc["columns"] == list(report.columns)
+        assert doc["rows"] == [list(row) for row in report.rows]
+        return
+    meta, header, *rows = csv.reader(text.splitlines())
+    assert meta == ["# mslwave", __version__,
+                    f"unit_roundoff={report.unit_roundoff!r}"]
+    assert header == list(report.columns)
+    assert rows == [["" if v is None else repr(v) if isinstance(v, float)
+                     else v for v in row] for row in report.rows]
+
+
+def test_cli_stability_rejects_an_unreadable_structure(tmp_path, capsys):
+    code = cli.main(["stability", "--structure", str(tmp_path / "none.json"),
+                     "--grid", "0.5:3:4"])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+# options that a command does not read, with a value where one is taken
+@pytest.mark.parametrize("command,option", [
+    ("validate", ["--tol", "1e-8"]), ("validate", ["--out", "x.csv"]),
+    ("validate", ["--format", "json"]), ("validate", ["--no-meta"]),
+    ("validate", ["--omega", "1.0"]), ("validate", ["--energy", "1.0"]),
+    ("bands", ["--allow-lossy"]), ("bands", ["--omega", "1.0"]),
+    ("bands", ["--energy", "1.0"]),
+    ("escape", ["--allow-lossy"]), ("escape", ["--energy", "1.0"]),
+    ("stability", ["--tol", "1e-8"]), ("stability", ["--allow-lossy"]),
+])
+def test_cli_rejects_options_the_command_does_not_read(tmp_path, capsys,
+                                                       command, option):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(kp_doc(1.0)), encoding="utf-8")
+    argv = [command, "--structure", str(path), *{
+        "validate": [],
+        "bands": ["--grid", "0.7:0.7:1", "--range", "0.05:5"],
+        "escape": ["--grid", "0.1:5:10"],
+        "stability": ["--grid", "0.5:1:2", "--energy", "2.0"]}[command]]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(argv + option) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and option[0] in err

@@ -12,7 +12,7 @@ from mslwave import (BlockMatrix, IllConditionedError, Layer,
                      s_from_k, s_identity, solve_qep, star_product,
                      structure_propagator, t_det_drift, t_single,
                      variant_comparison_report)
-from mslwave.compose import _compose_traced, fold_stack
+from mslwave.compose import fold_stack, interface_scattering
 from mslwave.errors import PointFailures
 from mslwave.media import MediumStack
 from mslwave.qep import solve_qep_stack
@@ -105,8 +105,9 @@ def test_compose_e_matches_t_route(rng):
 
 def test_compose_e_thin_layer_inner_norm_reported():
     d = 1e-10
-    e_thin = e_single_stable(EVANESCENT, d)
-    _, step = _compose_traced(Variant.E, e_thin, e_thin, 0)
+    s = _sandwich(EVANESCENT, [Layer(EVANESCENT, d), Layer(EVANESCENT, d)])
+    _, trace = structure_propagator(s, Variant.E)
+    (step,) = trace.steps
     # inner factor is E^rest_11 - E^m_22 ~ -2/d for thin evanescent layers
     assert step.factor_norm > 1e10
 
@@ -256,6 +257,14 @@ def test_empty_region_folds():
     assert np.allclose(t.data, np.eye(2))
     h, _ = structure_propagator(s, Variant.H)
     assert np.allclose(h.data, antidiagonal_identity(1).data)
+    # S: the bare interface between two different half-spaces
+    bare = LayeredStructure(left=EVANESCENT, layers=(), right=BARRIER)
+    s_fold, trace = structure_propagator(bare, Variant.S)
+    want = interface_scattering(solve_qep(EVANESCENT), solve_qep(BARRIER))
+    np.testing.assert_array_equal(s_fold.data, want.data)
+    assert len(trace) == 0
+    with pytest.raises(IllConditionedError, match="zero-thickness region"):
+        structure_propagator(s, Variant.E)
 
 
 # --- stacked folds against single points -----------------------------------

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -148,7 +149,8 @@ def test_lockstep_refinement_matches_single_brackets_and_brentq(cells):
         return complex(math.prod(x - z for z in zeros))
 
     def scan(xs):
-        return scan_and_refine(f, xs, tol=tol, root_residual_rfrac=math.inf)
+        with mock.patch.object(solvers, "ROOT_RESIDUAL_RFRAC", math.inf):
+            return scan_and_refine(f, xs, tol=tol)
 
     roots = scan(grid).roots
     assert len(roots) == len(zeros)
@@ -636,6 +638,32 @@ def test_stacked_piezo_scan_matches_single_points():
     assert_same_points(scan.values, scan.masked, *want)
 
 
+def test_layerless_escape_secular_stack_matches_single_points():
+    # no layers between the half-spaces: the H region is the antidiagonal
+    # identity at every point, and the E region is not computable
+    defn = quantum_defn({"wall": (1.0, 10.0), "out": (1.2, 6.0)},
+                        "wall", "out", [])
+    energies = np.linspace(0.5, 5.0, SCAN_BLOCK + 1)
+    fails = PointFailures(len(energies))
+    ms = escape_secular_stack(defn.bind_stack(fails, energy=energies),
+                              Variant.H, fails)
+    assert not fails.failed.any()
+    for e, got in zip(energies, ms):
+        np.testing.assert_allclose(
+            got, escape_secular(defn.bind(energy=e), Variant.H),
+            rtol=1e-12, atol=0)
+
+    fails = PointFailures(len(energies))
+    escape_secular_stack(defn.bind_stack(fails, energy=energies), Variant.E,
+                         fails)
+    assert fails.failed.all()
+    with pytest.raises(IllConditionedError) as single:
+        escape_secular(defn.bind(energy=energies[0]), Variant.E)
+    assert all((type(err), str(err)) == (IllConditionedError,
+                                         str(single.value))
+               for err in fails.errors.values())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_escape_secular_matches_single_points_random_media(rng, n):
     # every point draws its own left, middle and right media; the layers
@@ -920,12 +948,12 @@ def test_point_failures_copy_is_independent():
 
 
 def one_q_scan(defn, q, e_grid, variant):
-    """The energy scan at one q by scan_and_refine over one-q blocks."""
+    """The energy scan at one q by the scan entry over one-q blocks."""
     evaluate = _bound_stacked(
         defn, lambda energies: {"energy": energies},
         lambda st, fails: (periodic_dispersion_stack(st, variant, q, fails),
                            fails.failed))
-    return scan_and_refine(evaluate, e_grid, param_name="energy")
+    return solvers._scan(evaluate, e_grid, 1e-10, "energy")
 
 
 @pytest.mark.parametrize("defn,e_range", [(KP_DEFN, (0.05, 18.0)),

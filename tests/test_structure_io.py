@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from mslwave import (StructureFileError, load_structure, parse_structure,
-                     serialize_structure)
+from mslwave import (StructuralError, StructureFileError, load_structure,
+                     parse_structure, serialize_structure)
+from mslwave.errors import PointFailures
 
 ABA = """
 {
@@ -97,6 +98,57 @@ def test_quantum_material_binds_energy():
     assert s.left.w[0, 0] == pytest.approx(-6.0)
     s2 = defn.bind(energy=12.0)
     assert s2.left.w[0, 0] == pytest.approx(2.0)
+
+
+MIXED = {
+    "materials": {
+        "M": {"kind": "msl", "b": [[[2.0, 0.0]]], "p": [[[0.0, 0.5]]],
+              "y": [[[0.0, 0.5]]], "w": [[[-3.0, 0.0]]]},
+        "Q": {"kind": "quantum", "mass": 1.3, "potential": 4.0,
+              "hbar2_over_2": 0.7},
+        "Z": {"kind": "sh_piezo", "rho": 7500.0, "c44": 2.56e10,
+              "e15": 12.7, "eps11": 6.46e-9},
+    },
+    "left": "M", "right": "M", "layers": [],
+}
+
+
+@pytest.mark.parametrize("name", ["M", "Q", "Z"])
+def test_bind_is_row_zero_of_bind_stack(name):
+    doc = dict(MIXED, left=name, right=name,
+               layers=[{"material": name, "thickness": 1.0}])
+    defn = parse_structure(json.dumps(doc))
+    point = {"energy": 2.5, "omega": 3.8e8, "kappa_x": 1.6e5}
+    s = defn.bind(**point)
+    fails = PointFailures(1)
+    st = defn.bind_stack(fails, **point)
+    assert not fails.failed.any()
+    for medium in (s.left, s.right, s.layers[0].medium):
+        assert medium.label == name
+        for key in "bpyw":
+            got, want = getattr(medium, key), getattr(st.media[name], key)[0]
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("doc,point,message", [
+    (dict(MIXED, left="Q", right="Q"), {"energy": float("inf")},
+     "w contains non-finite entries"),
+    (dict(MIXED, left="Z", right="Z"), {"omega": float("nan")},
+     "w contains non-finite entries"),
+    ({"materials": {"N": {"kind": "msl", "b": [[1.0]], "p": [[0.0]],
+                          "y": [[float("nan")]], "w": [[1.0]]}},
+      "left": "N", "right": "N", "layers": []}, {},
+     "y contains non-finite entries"),
+    ({"materials": {"H": {"kind": "quantum", "mass": 1.0, "potential": 0.0,
+                          "hbar2_over_2": -1.0}},
+      "left": "H", "right": "H", "layers": []}, {},
+     "hbar2_over_2 must be positive"),
+])
+def test_bind_rejects_media_it_cannot_build(doc, point, message):
+    defn = parse_structure(json.dumps(doc))
+    with pytest.raises(StructuralError) as err:
+        defn.bind(**point)
+    assert str(err.value) == message
 
 
 def test_round_trip_serialization():

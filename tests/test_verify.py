@@ -7,7 +7,8 @@ import pytest
 from mslwave import (Layer, LayeredStructure, MatrixOverflowError, MslError,
                      MslCoefficients, PartitionError, SingularMatrixError,
                      default_c_estimate, det_unimodularity_scan,
-                     expm_propagator, first_order_matrix, make_scalar_medium,
+                     expm_propagator, first_order_matrix,
+                     make_quantum_medium, make_scalar_medium,
                      rk4_propagator, roundoff_bound, solve_qep,
                      structure_propagator, t_det_drift, t_single,
                      variant_comparison_report)
@@ -284,6 +285,23 @@ def test_report_matches_per_scale_folds(layers, scales):
     statuses = {cell for row in report.rows for cell in row
                 if isinstance(cell, str)}
     assert {"ok", "MatrixOverflowError"} <= statuses
+
+
+def test_report_roundoff_bound_stays_finite_past_the_double_range():
+    # at scale 80 the barrier's growth exp(|Im k| d) is capped at e^709,
+    # and the prefactor times that growth leaves the double range unless
+    # the unit roundoff scales the growth first
+    barrier = make_quantum_medium(1.0, 100.0, 0.0)
+    s = LayeredStructure(left=EVANESCENT, right=EVANESCENT,
+                         layers=(Layer(barrier, 1.0),))
+    report = variant_comparison_report(s, [1.0, 80.0])
+    c = default_c_estimate(solve_qep(barrier))
+    bounds = [row[-1] for row in report.rows]
+    assert bounds[0] == pytest.approx(c * UNIT_ROUNDOFF * math.exp(10.0),
+                                      rel=1e-12)
+    assert bounds[1] == pytest.approx(c * UNIT_ROUNDOFF * math.exp(709.0),
+                                      rel=1e-12)
+    assert report.rows[1][2] == "MatrixOverflowError"
 
 
 def test_t_det_drift_measures_det_t_against_liouville():
