@@ -170,18 +170,21 @@ def _cmd_escape(args) -> int:
                               f"got --variant {args.variant}")
         scan = sh_wave_speeds(defn, omega=args.omega, v_grid=grid,
                               tol=args.tol)
-        param = "v_s"
     else:
         scan = escape_energy_scan(defn, grid, variant, tol=args.tol)
-        param = "energy"
-    rows = [(r.value, r.value, r.residual, args.variant) for r in scan.roots]
-    _emit((param, "root", "residual", "variant"), rows, args)
+    _emit(*scan.root_table(args.variant), args)
     return EXIT_OK
 
 
 def _cmd_stability(args) -> int:
     defn = _read_structure(args.structure)
-    bound = defn.bind(energy=args.energy, omega=args.omega or 1.0)
+    if args.energy is None and "quantum" in defn.kinds:
+        # no default energy serves every quantum structure: at E = 0 a
+        # well of potential 0 has k = 0 and no mode basis
+        raise _UsageError("stability of a structure with quantum materials "
+                          "needs --energy <E>")
+    bound = defn.bind(energy=0.0 if args.energy is None else args.energy,
+                      omega=args.omega or 1.0)
     grid = _parse_grid(args.grid)
     if len(grid) and np.all(grid > 0) and grid[0] != grid[-1] \
             and max(grid[0], grid[-1]) / min(grid[0], grid[-1]) > 100.0:
@@ -205,7 +208,7 @@ _OPTIONS = {
     "--no-meta": dict(action="store_true"),
     "--omega": dict(type=float, default=None,
                     help="angular frequency (piezo problems)"),
-    "--energy": dict(type=float, default=0.0,
+    "--energy": dict(type=float, default=None,
                      help="binding energy for quantum media (stability)"),
 }
 _OUTPUT = ("--out", "--format", "--no-meta")

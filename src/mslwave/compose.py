@@ -1,20 +1,19 @@
 """Composition rules: combining per-layer matrices into structure matrices.
 
-T composes by plain matrix product. H, E and S compose by the block
-recursions below, whose only inverses act on inner factors that stay
-regular for arbitrarily thick stacks (H, S) or arbitrarily thick but not
-arbitrarily thin ones (E). Each fold records a per-step conditioning
-trace so the regularity claim is checkable rather than assumed.
+T composes by plain matrix product, H and S by one star kernel
+(:func:`star_stack`) and E by :func:`compose_e_stack`; the only inverses
+of H, E and S act on inner factors that stay regular for arbitrarily
+thick stacks (H, S) or arbitrarily thick but not arbitrarily thin ones
+(E). Each fold records a per-step conditioning trace so the regularity
+claim is checkable rather than assumed.
 
-All four folds run stacked over G parameter points (:func:`fold_stack`,
-with the H, E and S rules :func:`compose_h_stack`,
-:func:`compose_e_stack` and :func:`star_stack`, and the S interfaces
-:func:`interface_stack`), recording failures per point. Each point may
-carry its own thicknesses and its own media, so one fold covers a
-thickness or an energy sweep; :func:`fold_region` adds the regions
-without layers. :func:`structure_propagator`, :func:`compose_h`,
-:func:`compose_e`, :func:`star_product` and
-:func:`interface_scattering` are their G = 1 case.
+Every variant folds through one loop (:func:`fold_stack`) stacked over
+G parameter points, recording failures per point. Each point may carry
+its own thicknesses and its own media, so one fold covers a thickness or
+an energy sweep; :func:`fold_region` adds the regions without layers.
+:func:`structure_propagator`, :func:`compose_t`, :func:`compose_h`,
+:func:`compose_e`, :func:`star_product` and :func:`interface_scattering`
+are their G = 1 case.
 """
 
 from __future__ import annotations
@@ -67,19 +66,37 @@ class CompositionTrace:
         return max((s.conditioning for s in self.steps), default=1.0)
 
 
+def t_product_stack(t2: np.ndarray, t1: np.ndarray, fails: PointFailures,
+                    trace: bool = False, layer_index: int | None = None):
+    """Stacked :func:`compose_t`, and with ``trace`` the product's
+    singular values while a point is live. An overflowing point fails,
+    naming ``layer_index`` when given."""
+    # an overflowing product becomes the typed error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = t2 @ t1
+    where = ("" if layer_index is None
+             else f"T overflow at layer {layer_index}: ")
+    fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
+              MatrixOverflowError(where + "T matrix contains non-finite "
+                                  "entries", layer_index=layer_index))
+    fails.patch(data)
+    traced = trace and not fails.all_failed
+    return data, (np.linalg.svd(data, compute_uv=False) if traced else None)
+
+
 def compose_t(t2: BlockMatrix, t1: BlockMatrix) -> BlockMatrix:
     """T across two adjacent regions: plain product t2 . t1 (t1 leftmost)."""
     if t2.variant is not Variant.T or t1.variant is not Variant.T:
         raise VariantError("compose_t needs two T matrices")
     if t2.n != t1.n:
         raise StructuralError("system sizes differ")
-    # overflowing products become the typed error via the constructor
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = t2.data @ t1.data
-    return BlockMatrix(variant=Variant.T, data=data)
+    fails = PointFailures(1)
+    data, _ = t_product_stack(t2.data[None], t1.data[None], fails)
+    fails.raise_first()
+    return BlockMatrix(variant=Variant.T, data=data[0])
 
 
-def _inner_solve_stack(factor: np.ndarray, rhs: np.ndarray, rule: str,
+def _inner_solve_stack(factor: np.ndarray, rhs: np.ndarray, rule: Variant,
                       fails: PointFailures) -> np.ndarray:
     def resonance(i: int, exc) -> ResonanceError:
         sigma_min = smallest_singular_value(factor[i])
@@ -89,36 +106,10 @@ def _inner_solve_stack(factor: np.ndarray, rhs: np.ndarray, rule: str,
     return stacked_call(np.linalg.solve, fails, resonance, factor, rhs)
 
 
-def compose_h_stack(h_m: np.ndarray, h_rest: np.ndarray, fails: PointFailures,
-                    trace: bool = False):
-    """Stacked :func:`compose_h` over (G, 2N, 2N) arrays.
-
-    Returns the joined data and, with ``trace``, the singular values of
-    each point's inner factor G (for :class:`CompositionStep`). A point
-    with a singular inner factor fails with :class:`ResonanceError`.
-    """
-    n = h_m.shape[-1] // 2
-    m11, m12, m21, m22 = (h_m[:, :n, :n], h_m[:, :n, n:],
-                          h_m[:, n:, :n], h_m[:, n:, n:])
-    r11, r12, r21, r22 = (h_rest[:, :n, :n], h_rest[:, :n, n:],
-                          h_rest[:, n:, :n], h_rest[:, n:, n:])
-    eye = np.eye(n, dtype=complex)
-    g = eye - m22 @ r11
-    sv = np.linalg.svd(g, compute_uv=False) if trace else None
-    ginv = _inner_solve_stack(g, h_m[:, n:, :], "H", fails)
-    ginv_h21, ginv_h22 = ginv[..., :n], ginv[..., n:]
-    data = _assemble(Variant.H,
-                     m11 + m12 @ r11 @ ginv_h21,
-                     m12 @ (eye + r11 @ ginv_h22) @ r12,
-                     r21 @ ginv_h21,
-                     r22 + r21 @ ginv_h22 @ r12, fails)
-    return data, sv
-
-
 def compose_e_stack(e_m: np.ndarray, e_rest: np.ndarray, fails: PointFailures,
                     trace: bool = False):
     """Stacked :func:`compose_e` over (G, 2N, 2N) arrays; see
-    :func:`compose_h_stack`. The inner factor is D = E^rest_11 - E^m_22."""
+    :func:`star_stack`. The inner factor is D = E^rest_11 - E^m_22."""
     n = e_m.shape[-1] // 2
     m11, m12, m21, m22 = (e_m[:, :n, :n], e_m[:, :n, n:],
                           e_m[:, n:, :n], e_m[:, n:, n:])
@@ -127,7 +118,7 @@ def compose_e_stack(e_m: np.ndarray, e_rest: np.ndarray, fails: PointFailures,
     d_factor = r11 - m22
     sv = np.linalg.svd(d_factor, compute_uv=False) if trace else None
     dinv = _inner_solve_stack(d_factor, np.concatenate([m21, r12], axis=-1),
-                              "E", fails)
+                              Variant.E, fails)
     dinv_e21, dinv_e12rest = dinv[..., :n], dinv[..., n:]
     data = _assemble(Variant.E,
                      m11 + m12 @ dinv_e21,
@@ -140,14 +131,15 @@ def compose_e_stack(e_m: np.ndarray, e_rest: np.ndarray, fails: PointFailures,
 def compose_h(h_m: BlockMatrix, h_rest: BlockMatrix) -> BlockMatrix:
     """Hybrid matrix of layer m joined with the stack to its right.
 
-    Inner factor G = I - H^m_22 H^rest_11 stays regular for thicknesses
-    from zero to infinity; a singular G marks a physical resonance and
-    raises so root finders can bracket it.
+    It is the star product H^rest (*) H^m (:func:`star_stack`). Inner
+    factor G = I - H^m_22 H^rest_11 stays regular for thicknesses from
+    zero to infinity; a singular G marks a physical resonance and raises
+    so root finders can bracket it.
     """
     if h_m.variant is not Variant.H or h_rest.variant is not Variant.H:
         raise VariantError("compose_h needs two H matrices")
     fails = PointFailures(1)
-    data, _ = compose_h_stack(h_m.data[None], h_rest.data[None], fails)
+    data, _ = star_stack(h_rest.data[None], h_m.data[None], fails, Variant.H)
     fails.raise_first()
     return BlockMatrix(variant=Variant.H, data=data[0])
 
@@ -169,22 +161,28 @@ def compose_e(e_m: BlockMatrix, e_rest: BlockMatrix) -> BlockMatrix:
 
 
 def star_stack(y: np.ndarray, x: np.ndarray, fails: PointFailures,
-               trace: bool = False):
-    """Stacked :func:`star_product` Z = Y (*) X over (G, 2N, 2N) arrays
-    (X nearer the left end); see :func:`compose_h_stack`. The inner
-    factor is G = I - X22 Y11; a point where it is singular fails with
-    :class:`ResonanceError`."""
+               variant: Variant, trace: bool = False):
+    """Stacked star product Z = Y (*) X over (G, 2N, 2N) arrays (X nearer
+    the left end): the one kernel of the H and S rules, which compose
+    alike (Ko & Inkson, PRB 38, 9945, 1988). ``variant`` (H or S) only
+    names the rule in error messages.
+
+    Returns the joined data and, with ``trace``, the singular values of
+    each point's inner factor G = I - X22 Y11 (for
+    :class:`CompositionStep`). A point with a singular G fails with
+    :class:`ResonanceError`.
+    """
     n = x.shape[-1] // 2
-    x11, x12, x21, x22 = x[:, :n, :n], x[:, :n, n:], x[:, n:, :n], x[:, n:, n:]
+    x11, x12 = x[:, :n, :n], x[:, :n, n:]
     y11, y12, y21, y22 = y[:, :n, :n], y[:, :n, n:], y[:, n:, :n], y[:, n:, n:]
-    g = np.eye(n, dtype=complex) - x22 @ y11
+    eye = np.eye(n, dtype=complex)
+    g = eye - x[:, n:, n:] @ y11
     sv = np.linalg.svd(g, compute_uv=False) if trace else None
-    ginv_x21 = _inner_solve_stack(g, x21, "S", fails)
-    fails.patch(g)
-    ginv_x22 = _inner_solve_stack(g, x22, "S", fails)
-    data = _assemble(Variant.S,
+    ginv = _inner_solve_stack(g, x[:, n:, :], variant, fails)
+    ginv_x21, ginv_x22 = ginv[..., :n], ginv[..., n:]
+    data = _assemble(variant,
                      x11 + x12 @ y11 @ ginv_x21,
-                     x12 @ y12 + x12 @ y11 @ ginv_x22 @ y12,
+                     x12 @ (eye + y11 @ ginv_x22) @ y12,
                      y21 @ ginv_x21,
                      y22 + y21 @ ginv_x22 @ y12, fails)
     return data, sv
@@ -198,7 +196,7 @@ def star_product(y: BlockMatrix, x: BlockMatrix) -> BlockMatrix:
     if y.variant is not Variant.S or x.variant is not Variant.S:
         raise VariantError("star_product needs two S matrices")
     fails = PointFailures(1)
-    data, _ = star_stack(y.data[None], x.data[None], fails)
+    data, _ = star_stack(y.data[None], x.data[None], fails, Variant.S)
     fails.raise_first()
     return BlockMatrix(variant=Variant.S, data=data[0])
 
@@ -264,40 +262,25 @@ def propagation_scattering(basis: ModeBasis, d: float) -> BlockMatrix:
                        data=propagation_stack(basis.stack, d)[0])
 
 
-def _fold_t(layers, modes_of, fails: PointFailures, trace: bool):
-    """T fold of :func:`fold_stack`: the plain product, with the running
-    product's singular values as the trace. A point fails at the layer
-    whose single matrix or product step leaves the double range."""
-    last = len(layers) - 1
-    acc = t_single_stack(modes_of(layers[last][0]), layers[last][1], fails,
-                         layer_index=last)
-    steps = []
-    for idx in range(last - 1, -1, -1):
-        if fails.all_failed:
-            break
+def _single_factors(layers, variant: Variant, modes_of,
+                    fails: PointFailures):
+    """The single-layer matrices of a T, H or E fold, right to left, each
+    with its conditioning (T: that of Q0, in a one-layer fold only)."""
+    for idx in range(len(layers) - 1, -1, -1):
         key, d = layers[idx]
-        t_m = t_single_stack(modes_of(key), d, fails, layer_index=idx)
-        # an overflowing product becomes the typed error below
-        with np.errstate(over="ignore", invalid="ignore"):
-            acc = acc @ t_m
-        fails.add(~np.isfinite(acc).all(axis=(1, 2)), lambda i:
-                  MatrixOverflowError(f"T overflow at layer {idx}: T matrix "
-                                      "contains non-finite entries",
-                                      layer_index=idx))
-        fails.patch(acc)
-        if trace and not fails.all_failed:
-            steps.append(np.linalg.svd(acc, compute_uv=False))
-    cond = None
-    if len(layers) == 1:
-        cond = np.broadcast_to(cond_stack(mode_matrix(modes_of(layers[0][0]))),
-                               fails.failed.shape)
-    return acc, cond, steps
+        modes = modes_of(key)
+        if variant is not Variant.T:
+            yield single_stack(variant, modes, d, fails, layer_index=idx)
+            continue
+        cond = None if len(layers) > 1 else np.broadcast_to(
+            cond_stack(mode_matrix(modes)), fails.failed.shape)
+        yield t_single_stack(modes, d, fails, layer_index=idx), cond
 
 
-def _fold_s(layers, ends, modes_of, fails: PointFailures, trace: bool):
-    """S fold of :func:`fold_stack`: propagation and interface factors
-    alternate from the right half-space toward the left. The interface
-    of each adjacent pair of media is computed once per fold."""
+def _s_factors(layers, ends, modes_of, fails: PointFailures):
+    """The factors of an S fold, right to left: the interface into the
+    right half-space, then each layer's propagation and the interface on
+    its left, each interface of adjacent media computed once."""
     media = [ends[0]] + [key for key, _ in layers] + [ends[1]]
     cache = {}
 
@@ -307,25 +290,17 @@ def _fold_s(layers, ends, modes_of, fails: PointFailures, trace: bool):
             cache[pair] = interface_stack(*map(modes_of, pair), fails)
         return cache[pair]
 
-    acc, steps = interface(len(layers)), []
+    yield interface(len(layers)), None
     for idx in range(len(layers) - 1, -1, -1):
-        if fails.all_failed:
-            break
         key, d = layers[idx]
-        acc, sv = star_stack(acc, propagation_stack(modes_of(key), d), fails,
-                             trace)
-        steps.append(sv)
-        if fails.all_failed:
-            break
-        acc, sv = star_stack(acc, interface(idx), fails, trace)
-        steps.append(sv)
-    return acc, None, steps
+        yield propagation_stack(modes_of(key), d), None
+        yield interface(idx), None
 
 
 def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
                trace: bool = False, ends=None):
-    """Fold the single-layer matrices of G points under one variant's
-    rule, right to left.
+    """Fold the factors of G points under one variant's rule, right to
+    left, in one loop: acc = combine(acc, factor).
 
     ``layers`` lists (key, d), at least one layer except under S; each
     d is either one thickness > 0 shared by all points or a (G,) array
@@ -333,38 +308,45 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
     :class:`ModeStack`, of G points or of one point shared by all; it is
     called as the fold reaches each layer or end, right to left, so a
     :func:`mslwave.qep.mode_source` records each medium's failures in
-    ``fails`` in the order the fold reads the media. The overflow and
-    conditioning errors of a T, H or E single-layer matrix carry that
-    layer's ``layer_index`` in ``layers``. T
-    composes by the plain product, H and E by their inner-factor rules,
-    and S alternates propagation and interface factors between the
-    half-spaces ``ends`` = (left key, right key).
+    ``fails`` in the order the fold reads the media. The factors are the
+    single-layer matrices (T, H, E), whose errors carry that layer's
+    ``layer_index`` in ``layers``, or (S) each layer's propagation
+    between the interfaces of adjacent media, from the half-spaces
+    ``ends`` = (left key, right key). ``combine`` is
+    :func:`t_product_stack` (T), :func:`star_stack` (H, S) or
+    :func:`compose_e_stack` (E).
 
     Returns the (G, 2N, 2N) data; the conditioning of the single layer
     when there is only one (T: the 2-norm condition of Q0; H and E: that
     of the inverted factor; else None); and, with ``trace``, the
     singular values at every step of the inner factor (H, E, S) or of
-    the running product (T). The fold stops early once every point has
-    failed.
+    the running product (T). The fold stops once every point has failed,
+    before it builds the next factor.
     """
-    if variant is Variant.T:
-        return _fold_t(layers, modes_of, fails, trace)
     if variant is Variant.S:
-        return _fold_s(layers, ends, modes_of, fails, trace)
-    compose = compose_h_stack if variant is Variant.H else compose_e_stack
-    last = len(layers) - 1
-    acc, cond = single_stack(variant, modes_of(layers[last][0]),
-                             layers[last][1], fails, layer_index=last)
+        factors = _s_factors(layers, ends, modes_of, fails)
+        count = 2 * len(layers) + 1
+    else:
+        factors = _single_factors(layers, variant, modes_of, fails)
+        count = len(layers)
+
+    def combine(acc, factor, idx):
+        if variant is Variant.T:
+            return t_product_stack(acc, factor, fails, trace, layer_index=idx)
+        if variant is Variant.E:
+            return compose_e_stack(factor, acc, fails, trace)
+        return star_stack(acc, factor, fails, variant, trace)
+
+    acc, cond = next(factors)
     steps = []
-    for idx in range(last - 1, -1, -1):
+    # idx counts factors from the left: the layer index under T, H and E
+    for idx in range(count - 2, -1, -1):
         if fails.all_failed:
             break
-        key, d = layers[idx]
-        m_single, _ = single_stack(variant, modes_of(key), d, fails,
-                                   layer_index=idx)
-        acc, sv = compose(m_single, acc, fails, trace)
-        steps.append(sv)
-    return acc, (cond if len(layers) == 1 else None), steps
+        acc, sv = combine(acc, next(factors)[0], idx)
+        if sv is not None:
+            steps.append(sv)
+    return acc, (cond if count == 1 else None), steps
 
 
 def fold_region(layers, variant: Variant, modes_of, fails: PointFailures,

@@ -100,11 +100,14 @@ class SecularScan:
     def root_values(self) -> list[float]:
         return [r.value for r in self.roots]
 
+    def root_table(self, variant: str = "") -> tuple[tuple, list]:
+        """The columns and rows of the roots, one row per root."""
+        return ((self.param_name, "root", "residual", "variant"),
+                [(r.value, r.value, r.residual, variant) for r in self.roots])
+
     def to_csv(self, variant: str = "", include_meta: bool = True) -> str:
         meta = f"scan,{self.param_name},{self.mode}" if include_meta else None
-        return csv_text(meta, (self.param_name, "root", "residual", "variant"),
-                        [(r.value, r.value, r.residual, variant)
-                         for r in self.roots])
+        return csv_text(meta, *self.root_table(variant))
 
     def to_json_dict(self) -> dict:
         return {

@@ -279,6 +279,26 @@ def test_cli_stability_rejects_an_unreadable_structure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("invalid input: ")
 
 
+def test_cli_stability_of_quantum_structures_needs_an_energy(tmp_path,
+                                                             capsys):
+    # at E = 0 the well of potential 0 has k = 0 and no mode basis, so a
+    # quantum structure gets no default energy
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(kp_doc(1.0)), encoding="utf-8")
+    argv = ["stability", "--structure", str(path), "--grid", "0.5:1:2"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert "--energy" in captured.err
+    # media that do not read the energy are bound as before
+    path.write_text(json.dumps(msl_doc(1.0, -1.0)), encoding="utf-8")
+    assert cli.main(argv) == cli.EXIT_OK
+    plain = capsys.readouterr().out
+    assert cli.main(argv + ["--energy", "0.0"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
 # options that a command does not read, with a value where one is taken
 @pytest.mark.parametrize("command,option", [
     ("validate", ["--tol", "1e-8"]), ("validate", ["--out", "x.csv"]),

@@ -1,18 +1,20 @@
-import math
 import warnings
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 from mslwave import (BlockMatrix, IllConditionedError, Layer,
-                     LayeredStructure, MatrixOverflowError, MslError, Variant,
-                     antidiagonal_identity, compose_e, compose_h, compose_t,
-                     e_from_t, e_single_stable, h_single_stable, k_matrix,
+                     LayeredStructure, MatrixOverflowError, MslError,
+                     ResonanceError, Variant, antidiagonal_identity,
+                     compose_e, compose_h, compose_t, e_from_t,
+                     e_single_stable, h_from_t, h_single_stable, k_matrix,
                      make_quantum_medium, make_scalar_medium, q_matrix,
                      s_from_k, s_identity, solve_qep, star_product,
                      structure_propagator, t_det_drift, t_single,
                      variant_comparison_report)
-from mslwave.compose import fold_stack, interface_scattering
+from mslwave.compose import fold_stack, interface_scattering, star_stack
 from mslwave.errors import PointFailures
 from mslwave.media import MediumStack
 from mslwave.qep import solve_qep_stack
@@ -138,6 +140,38 @@ def test_star_thick_barriers_kill_transmission():
     assert np.all(np.isfinite(stacked.data))
 
 
+@pytest.mark.parametrize("rule", ["H", "S"])
+def test_singular_inner_factor_fails_only_its_point(rng, rule):
+    # G = I - X22 Y11 vanishes at point 1 (X22 = Y11 = I): that point
+    # alone fails, with the error the G = 1 rule raises; the live points
+    # are their G = 1 results bit for bit
+    n, variant = 2, Variant(rule)
+    x, y = 0.3 * (rng.standard_normal((2, 3, 2 * n, 2 * n))
+                  + 1j * rng.standard_normal((2, 3, 2 * n, 2 * n)))
+    x[1, n:, n:] = np.eye(n)
+    y[1, :n, :n] = np.eye(n)
+    fails = PointFailures(3)
+    data, _ = star_stack(y, x, fails, variant)
+
+    def single(i):
+        pair = BlockMatrix(variant, x[i]), BlockMatrix(variant, y[i])
+        if variant is Variant.H:
+            return compose_h(*pair)
+        return star_product(*pair[::-1])
+
+    assert fails.failed.tolist() == [False, True, False]
+    with pytest.raises(ResonanceError) as err:
+        single(1)
+    got = fails.errors[1]
+    assert type(got) is ResonanceError
+    assert str(got) == str(err.value) == (
+        f"singular inner factor in the {rule} composition rule "
+        "(sigma_min = 0.000e+00)")
+    assert got.sigma_min == err.value.sigma_min == 0.0
+    for i in (0, 2):
+        assert data[i].tobytes() == single(i).data.tobytes()
+
+
 # --- structure folds ----------------------------------------------------
 
 def _sandwich(medium, layers):
@@ -165,7 +199,6 @@ def test_zero_thickness_layer_is_neutral(rng):
 
 
 def test_cross_route_t_vs_h_fold(rng):
-    from mslwave import h_from_t
     media = []
     rng2 = np.random.default_rng(7)
     for _ in range(3):
@@ -191,6 +224,30 @@ def test_cross_route_t_vs_e_and_s_fold(rng):
     s_direct = s_from_k(k_matrix(q, t_fold, q))
     assert rel_err(s_fold.data, s_direct.data) < 1e-8
 
+
+
+@hyp.settings(max_examples=60, deadline=None, derandomize=True)
+@hyp.given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+           fractions=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+def test_stable_folds_match_the_t_route(seed, n, fractions):
+    # random hermitian layers of |Im k| d <= 1 between two different
+    # half-spaces: the H, E and S folds equal the T fold turned into H,
+    # E and S
+    rng = np.random.default_rng(seed)
+    (left, left_basis), (right, right_basis) = (
+        random_partitionable_medium(rng, n) for _ in range(2))
+    layers = []
+    for fraction in fractions:
+        m, basis = random_partitionable_medium(rng, n)
+        layers.append(Layer(m, fraction / max(basis.max_abs_im_k(), 1.0)))
+    s = LayeredStructure(left=left, layers=tuple(layers), right=right)
+    t_fold, _ = structure_propagator(s, Variant.T)
+    routes = {Variant.H: h_from_t(t_fold), Variant.E: e_from_t(t_fold),
+              Variant.S: s_from_k(k_matrix(q_matrix(right_basis), t_fold,
+                                           q_matrix(left_basis)))}
+    for variant, want in routes.items():
+        got, _ = structure_propagator(s, variant)
+        assert rel_err(got.data, want.data) < 1e-10
 
 def test_fold_trace_lengths():
     s = _sandwich(EVANESCENT, [Layer(EVANESCENT, 0.5)] * 4)

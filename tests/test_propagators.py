@@ -14,8 +14,7 @@ from mslwave import (BlockMatrix, IllConditionedError, MatrixOverflowError,
                      t_det_drift, t_partitions, t_single)
 from mslwave.propagators import _reference_phases
 from mslwave.qep import ModeBasis, ModeStack
-from conftest import (random_evanescent_medium, random_hermitian_medium,
-                      random_partitionable_medium)
+from conftest import random_evanescent_medium, random_partitionable_medium
 
 EVANESCENT = make_scalar_medium(1, 0, 0, -1)
 PROPAGATING = make_scalar_medium(1, 0, 0, 4)

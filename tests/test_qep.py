@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from mslwave import (MslCoefficients, PartitionError, ShPiezoParams,
-                     linear_form_amplitudes, make_quantum_medium,
-                     make_scalar_medium, make_sh_piezo_medium,
-                     partition_modes, secular_matrix,
+                     linear_form_amplitudes, make_scalar_medium,
+                     make_sh_piezo_medium, partition_modes, secular_matrix,
                      sh_piezo_expected_wavenumbers, solve_qep)
 from mslwave.errors import PointFailures
 from mslwave.media import MediumStack

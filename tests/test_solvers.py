@@ -18,7 +18,7 @@ from mslwave import (Layer, LayeredStructure, ModelingError, ModelingWarning,
                      kronig_penney_period, kronig_penney_residuals,
                      make_quantum_medium, make_scalar_medium, parse_structure,
                      periodic_dispersion, scan_and_refine, sh_wave_speeds,
-                     solve_qep, structure_propagator, t_det_drift)
+                     structure_propagator, t_det_drift)
 from mslwave.errors import (IllConditionedError, MatrixOverflowError,
                             PointFailures)
 from mslwave.media import MediumStack, StackedStructure

@@ -4,8 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from mslwave import (Layer, LayeredStructure, MatrixOverflowError, MslError,
-                     MslCoefficients, PartitionError, SingularMatrixError,
+from mslwave import (Layer, LayeredStructure, MslError, MslCoefficients,
+                     PartitionError, SingularMatrixError,
                      default_c_estimate, det_unimodularity_scan,
                      expm_propagator, first_order_matrix,
                      make_quantum_medium, make_scalar_medium,
@@ -13,7 +13,7 @@ from mslwave import (Layer, LayeredStructure, MatrixOverflowError, MslError,
                      structure_propagator, t_det_drift, t_single,
                      variant_comparison_report)
 from mslwave._linalg import UNIT_ROUNDOFF, det_drift
-from conftest import random_hermitian_medium, random_partitionable_medium
+from conftest import random_partitionable_medium
 
 EVANESCENT = make_scalar_medium(1, 0, 0, -1)
 PROPAGATING = make_scalar_medium(1, 0, 0, 4)
