@@ -119,7 +119,7 @@ def _cmd_validate(args) -> int:
         (f"layer {i} ({ly.medium.label or 'unnamed'})", ly.medium)
         for i, ly in enumerate(bound.layers)]
     for where, medium in media:
-        report = validate_coefficients(medium, hermitian_expected=True)
+        report = validate_coefficients(medium)
         for msg in report.messages():
             failures.append(f"{where}: {msg}")
     hard = [f for f in failures if "singular" in f]
@@ -171,6 +171,9 @@ def _cmd_escape(args) -> int:
         scan = sh_wave_speeds(defn, omega=args.omega, v_grid=grid,
                               tol=args.tol)
     else:
+        if variant not in (Variant.H, Variant.E):
+            raise _UsageError("energy escape scans use the H or E variant, "
+                              f"got --variant {args.variant}")
         scan = escape_energy_scan(defn, grid, variant, tol=args.tol)
     _emit(*scan.root_table(args.variant), args)
     return EXIT_OK

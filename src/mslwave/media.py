@@ -67,8 +67,7 @@ class MslCoefficients:
         return self.b.shape[0]
 
     def is_formally_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        return validate_coefficients(self, hermitian_expected=True,
-                                     rtol=rtol).passed
+        return validate_coefficients(self, rtol=rtol).passed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MslCoefficients):
@@ -122,9 +121,8 @@ def equilibrated_cond(b: np.ndarray) -> float:
 
 
 def validate_coefficients(m: MslCoefficients,
-                          hermitian_expected: bool = True,
                           rtol: float = HERMITICITY_RTOL) -> ValidationReport:
-    """Check regularity of b and, optionally, formal hermiticity.
+    """Check regularity of b and formal hermiticity.
 
     The report lists every violated condition with its magnitude; it
     passes only if all checks are within ``rtol`` relative.
@@ -135,16 +133,11 @@ def validate_coefficients(m: MslCoefficients,
     if not np.isfinite(cond_b) or cond_b > _B_COND_LIMIT:
         violations.append(Violation("B singular", float(cond_b)))
 
-    if hermitian_expected:
-        dev = _rel_deviation(m.b, m.b.conj().T)
+    for name, dev in (("B != B^H", _rel_deviation(m.b, m.b.conj().T)),
+                      ("W != W^H", _rel_deviation(m.w, m.w.conj().T)),
+                      ("Y != -P^H", _rel_deviation(m.y, -m.p.conj().T))):
         if dev > rtol:
-            violations.append(Violation("B != B^H", dev))
-        dev = _rel_deviation(m.w, m.w.conj().T)
-        if dev > rtol:
-            violations.append(Violation("W != W^H", dev))
-        dev = _rel_deviation(m.y, -m.p.conj().T)
-        if dev > rtol:
-            violations.append(Violation("Y != -P^H", dev))
+            violations.append(Violation(name, dev))
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
 

@@ -24,17 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (cond_estimate, right_solve_checked, right_solve_stack,
-                      scaled_cond, scaled_cond_stack, solve_checked,
-                      solve_stack, stacked_call)
+from ._linalg import (_LOG_DOUBLE_MAX, cond_estimate, right_solve_checked,
+                      right_solve_stack, scaled_cond, scaled_cond_stack,
+                      solve_checked, solve_stack, stacked_call)
 from .errors import (DegenerateModeError, IllConditionedError,
                      MatrixOverflowError, PointFailures, SingularMatrixError,
                      VariantError)
 from .media import MslCoefficients
 from .qep import ModeBasis, ModeStack, solve_qep
 
-# exp(x) overflows double just above 709.78
-_EXP_OVERFLOW = float(np.log(np.finfo(float).max))
 CONDITION_LIMIT = 1e12
 
 
@@ -144,7 +142,7 @@ def _basis_for(m: MslCoefficients, basis: ModeBasis | None) -> ModeBasis:
 
 def _check_overflow(basis: ModeBasis, d: float):
     omega_d = basis.max_abs_im_k() * d
-    if omega_d > _EXP_OVERFLOW:
+    if omega_d > _LOG_DOUBLE_MAX:
         raise MatrixOverflowError(
             f"exp(|Im k| d) with |Im k| d = {omega_d:.3g} exceeds the "
             "representable range", omega_d=omega_d)
@@ -218,7 +216,7 @@ def t_single_stack(modes: ModeStack, d, fails: PointFailures,
             prefix + message.format(float(omega_d[i])),
             omega_d=float(omega_d[i]), layer_index=layer_index)
 
-    fails.add(omega_d > _EXP_OVERFLOW, overflow(
+    fails.add(omega_d > _LOG_DOUBLE_MAX, overflow(
         "exp(|Im k| d) with |Im k| d = {:.3g} exceeds the representable range"))
     q0 = np.broadcast_to(mode_matrix(modes), fails.failed.shape
                          + (2 * modes.n, 2 * modes.n))

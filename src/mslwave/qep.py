@@ -204,22 +204,10 @@ def _refine_shapes(media: MediumStack, py, ks, f0s, redo) -> None:
     f0s[gi, :, ji] = cand * phase[:, None]
 
 
-def _precedes(*keys) -> np.ndarray:
-    """(G, M, M) mask: entry [i, j] is whether i sorts before j by the
-    (G, M) keys compared lexicographically, ties broken by index."""
-    m = keys[0].shape[1]
-    before = np.tri(m, k=-1, dtype=bool).T  # i < j
-    for key in reversed(keys):
-        a, b = key[:, :, None], key[:, None, :]
-        before = (a < b) | ((a == b) & before)
-    return before
-
-
-def _partition_stack(b, p, ks, f0s, fails: PointFailures,
-                     real_k_rtol: float = REAL_K_RTOL) -> ModeStack:
+def _partition_stack(b, p, ks, f0s, fails: PointFailures) -> ModeStack:
     """Split each point's 2N eigenpairs into plus and minus sets."""
     n = ks.shape[1] // 2
-    tol = real_k_rtol * np.maximum(1.0, np.max(np.abs(ks), axis=1,
+    tol = REAL_K_RTOL * np.maximum(1.0, np.max(np.abs(ks), axis=1,
                                                 keepdims=True))
     im, re = ks.imag, ks.real
     real_zone = ~((im > tol) | (im < -tol))
@@ -243,8 +231,8 @@ def _partition_stack(b, p, ks, f0s, fails: PointFailures,
                   | (np.abs(ks[:, lo] - ks[:, hi]) < pair_scale).any(axis=1))
 
     # plus set first; within a set by decreasing Im k, then increasing
-    # Re k, then index: j's position is the number of modes before it
-    order = np.argsort(np.sum(_precedes(~plus, -im, re), axis=1), axis=1)
+    # Re k, then index (lexsort is stable; its last key sorts first)
+    order = np.lexsort((re, -im, ~plus), axis=-1)
     rows = np.arange(len(ks))[:, None]
     ks[:] = ks[rows, order]
     f0s[:] = np.swapaxes(np.swapaxes(f0s, 1, 2)[rows, order], 1, 2)
@@ -257,8 +245,8 @@ def _partition_stack(b, p, ks, f0s, fails: PointFailures,
                      degenerate=degenerate)
 
 
-def partition_modes(m: MslCoefficients, ks: np.ndarray, f0s: np.ndarray,
-                    real_k_rtol: float = REAL_K_RTOL) -> ModeBasis:
+def partition_modes(m: MslCoefficients, ks: np.ndarray,
+                    f0s: np.ndarray) -> ModeBasis:
     """Split 2N eigenpairs into plus (Im k > 0) and minus (Im k < 0) sets.
 
     Real eigenvalues (propagating modes) are assigned by the sign of
@@ -273,8 +261,7 @@ def partition_modes(m: MslCoefficients, ks: np.ndarray, f0s: np.ndarray,
         raise PartitionError(
             f"expected 2N = {2 * n} eigenpairs, got {ks.shape[0]}")
     fails = PointFailures(1)
-    modes = _partition_stack(m.b[None], m.p[None], ks[None], f0s[None],
-                             fails, real_k_rtol)
+    modes = _partition_stack(m.b[None], m.p[None], ks[None], f0s[None], fails)
     fails.raise_first()
     return ModeBasis(modes, m)
 
@@ -310,8 +297,7 @@ def _companion_modes(media: MediumStack, py: np.ndarray,
     return ks, f0s / np.where(tiny, 1.0, norms)[:, None, :]
 
 
-def solve_qep_stack(media: MediumStack, fails: PointFailures,
-                    residual_rtol: float = RESIDUAL_RTOL) -> ModeStack:
+def solve_qep_stack(media: MediumStack, fails: PointFailures) -> ModeStack:
     """Solve the quadratic eigenproblems of a stack of media by
     companion linearization.
 
@@ -325,23 +311,23 @@ def solve_qep_stack(media: MediumStack, fails: PointFailures,
 
         mu [f; h] = [[0, I], [-b^{-1} w, -b^{-1}(p + y)]] [f; h].
 
-    Shapes whose residual exceeds half of ``residual_rtol`` get one
+    Shapes whose residual exceeds half of RESIDUAL_RTOL get one
     SVD-based refinement; a point whose worst residual (relative to the
-    size of Theta(k)) stays above ``residual_rtol``, whose b is
-    singular, or whose modes do not split N/N is recorded in ``fails``.
+    size of Theta(k)) stays above RESIDUAL_RTOL, whose b is singular, or
+    whose modes do not split N/N is recorded in ``fails``.
     """
     py = media.p + media.y
     ks, f0s = _companion_modes(media, py, fails)
     theta_norms = _theta_scales(media, py)
-    redo = _residuals(media, py, theta_norms, ks, f0s) > 0.5 * residual_rtol
+    redo = _residuals(media, py, theta_norms, ks, f0s) > 0.5 * RESIDUAL_RTOL
     if redo.any():
         _refine_shapes(media, py, ks, f0s, redo)
 
     modes = _partition_stack(media.b, media.p, ks, f0s, fails)
     worst = np.max(_residuals(media, py, theta_norms, modes.ks, modes.f0),
                    axis=1)
-    fails.add(worst > residual_rtol, lambda i: EigensolveError(
-        f"QEP residual {worst[i]:.3e} exceeds tolerance {residual_rtol:.1e}"))
+    fails.add(worst > RESIDUAL_RTOL, lambda i: EigensolveError(
+        f"QEP residual {worst[i]:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"))
     fails.patch(modes.ks, modes.f0, modes.a0, modes.degenerate)
     return modes
 
@@ -387,11 +373,10 @@ def mode_source(media: dict, keys, fails: PointFailures,
     return modes_of
 
 
-def solve_qep(m: MslCoefficients,
-              residual_rtol: float = RESIDUAL_RTOL) -> ModeBasis:
+def solve_qep(m: MslCoefficients) -> ModeBasis:
     """Solve the quadratic eigenproblem of one medium (the G = 1 case of
     :func:`solve_qep_stack`); failures raise."""
     fails = PointFailures(1)
-    modes = solve_qep_stack(MediumStack.of(m), fails, residual_rtol)
+    modes = solve_qep_stack(MediumStack.of(m), fails)
     fails.raise_first()
     return ModeBasis(modes, m)

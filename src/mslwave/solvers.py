@@ -22,8 +22,9 @@ and minima of |f| by golden section. A band scan samples its energy
 grid once for all q: the period's matrix depends on the energy only,
 so each block is folded once and closed with every q's e^{iqd}; each
 q's brackets are then refined on their own, as :func:`_scan` refines
-them. The Kronig-Penney residuals apply the paper's scalar relations to
-one two-layer fold, with both layers' modes from one QEP call.
+them. The Kronig-Penney residuals are the G = 1 case of one kernel that
+folds the two-layer period at a block of energies (both layers' modes
+from one QEP call) and applies the paper's relations elementwise.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ import scipy.optimize
 from ._linalg import solve_stack
 from ._table import csv_text
 from .compose import fold_region, fold_stack
-from .errors import ModelingError, MslError, PointFailures, VariantError
+from .errors import (ModelingError, MslError, PointFailures, StructuralError,
+                     VariantError)
 from .media import (Layer, LayeredStructure, StackedStructure,
-                    make_quantum_medium)
-from .propagators import BlockMatrix, Variant, k_matrix, mode_matrix, s_from_k
+                    make_quantum_medium, quantum_coefficients)
+from .propagators import Variant, mode_matrix, s_from_k_stack
 # solve_qep is bound here for perfbench/smoke_test.py, which checks that
 # the tracer patches and restores it in every module
 from .qep import mode_source, solve_qep  # noqa: F401
@@ -627,9 +629,55 @@ class QuantumLayer:
     thickness: float
 
 
-def _wavenumber(layer: QuantumLayer, energy: float,
-                hbar2_over_2: float) -> complex:
-    return cmath.sqrt((energy - layer.potential) * layer.mass / hbar2_over_2)
+def _kronig_penney_stack(well: QuantumLayer, barrier: QuantumLayer,
+                         energies, q: float, variant: Variant | str,
+                         fails: PointFailures,
+                         hbar2_over_2: float = 1.0) -> np.ndarray:
+    """:func:`kronig_penney_residuals` at G energies, from one QEP call
+    and one fold of the period; a point that fails anywhere is recorded
+    in ``fails`` and its value is NaN."""
+    variant = Variant(variant)
+    if variant not in (Variant.T, Variant.H, Variant.E, Variant.S):
+        raise VariantError(f"Kronig-Penney supports T/H/E/S, got {variant}")
+    h2, roles = hbar2_over_2, (("well", well), ("barrier", barrier))
+    cos_qd = math.cos(q * (well.thickness + barrier.thickness))
+    energies = np.array(energies, dtype=float)
+    fails.add(~np.isfinite(energies), lambda i: StructuralError(
+        "w contains non-finite entries"))
+    fails.patch(energies)
+    # keyed by role: two equal layers would share a medium key
+    media = {key: quantum_coefficients(ly.mass, ly.potential, energies, h2)
+             for key, ly in roles}
+    for _, ly in roles:
+        if not math.isfinite(ly.thickness) or ly.thickness < 0.0:
+            raise StructuralError("layer thickness must be finite and >= 0, "
+                                  f"got {ly.thickness}")
+    if not fails.all_failed:
+        cell = fold_stack([(key, float(ly.thickness)) for key, ly in roles],
+                          Variant.T if variant is Variant.S else variant,
+                          mode_source(media, list(media), fails), fails)[0]
+    if variant is Variant.S and not fails.all_failed:
+        # S from K = diag(1, 1/beta_A) T diag(1, beta_B); k = 0 only at
+        # failed points
+        k_a, k_b = (np.sqrt(media[key].w[:, 0, 0] * ly.mass / h2)
+                    for key, ly in roles)
+        fails.patch(k_a, k_b)
+        cell[:, :, 1] *= (h2 / barrier.mass) * k_b[:, None]
+        cell[:, 1, :] /= (h2 / well.mass) * k_a[:, None]
+        cell = s_from_k_stack(cell, fails)
+    if fails.all_failed:
+        return np.full(len(energies), np.nan, dtype=complex)
+    (x11, x12), (x21, x22) = np.moveaxis(cell, 0, -1)
+    if variant is Variant.T:
+        res = cos_qd - 0.5 * (x11 + x22)
+    elif variant is Variant.H:
+        res = 2 * cos_qd * x12 - (1 - x11 * x22 + x12 ** 2)
+    elif variant is Variant.E:
+        res = 2 * cos_qd * x12 - (x22 - x11)
+    else:
+        ratio = (k_b * well.mass) / (k_a * barrier.mass)
+        res = 2 * cos_qd * x21 - (ratio * (x21 * x12 - x11 * x22) + 1.0)
+    return np.where(fails.failed, np.nan, res)
 
 
 def kronig_penney_residuals(well: QuantumLayer, barrier: QuantumLayer,
@@ -651,42 +699,14 @@ def kronig_penney_residuals(well: QuantumLayer, barrier: QuantumLayer,
     boundaries (barrier on the left, well on the right), from the
     folded T; ``t`` is the left-to-right transmission block and ``s``
     the right-to-left one. Complex k_B below the barrier is handled by
-    analytic continuation of cos/sin.
+    analytic continuation of cos/sin. The G = 1 case of
+    :func:`_kronig_penney_stack`; failures raise.
     """
-    variant = Variant(variant)
-    if variant not in (Variant.T, Variant.H, Variant.E, Variant.S):
-        raise VariantError(f"Kronig-Penney supports T/H/E/S, got {variant}")
-    h2 = hbar2_over_2
-    cos_qd = math.cos(q * (well.thickness + barrier.thickness))
-    st = StackedStructure.of(kronig_penney_period(well, barrier, energy, h2))
     fails = PointFailures(1)
-    cell = fold_stack(list(st.layers),
-                      Variant.T if variant is Variant.S else variant,
-                      mode_source(st.media, [key for key, _ in st.layers],
-                                  fails), fails)[0][0]
+    value = _kronig_penney_stack(well, barrier, [energy], q, variant, fails,
+                                 hbar2_over_2)
     fails.raise_first()
-    (x11, x12), (x21, x22) = cell
-
-    if variant is Variant.T:
-        return complex(cos_qd - 0.5 * (x11 + x22))
-    if variant is Variant.H:
-        return complex(2 * cos_qd * x12 - (1 - x11 * x22 + x12 ** 2))
-    if variant is Variant.E:
-        return complex(2 * cos_qd * x12 - (x22 - x11))
-
-    k_a = _wavenumber(well, energy, h2)
-    k_b = _wavenumber(barrier, energy, h2)
-    beta_a = (h2 / well.mass) * k_a
-    beta_b = (h2 / barrier.mass) * k_b
-    q_left = BlockMatrix(Variant.Q, np.array([[1.0, 0.0], [0.0, beta_b]],
-                                             dtype=complex))
-    q_right = BlockMatrix(Variant.Q, np.array([[1.0, 0.0], [0.0, beta_a]],
-                                              dtype=complex))
-    s = s_from_k(k_matrix(q_right, BlockMatrix(Variant.T, cell), q_left))
-    s11, s12 = s.b11[0, 0], s.b12[0, 0]
-    s21, s22 = s.b21[0, 0], s.b22[0, 0]
-    ratio = (k_b * well.mass) / (k_a * barrier.mass)
-    return complex(2 * cos_qd * s21 - (ratio * (s21 * s12 - s11 * s22) + 1.0))
+    return complex(value[0])
 
 
 def kronig_penney_period(well: QuantumLayer, barrier: QuantumLayer,
@@ -704,8 +724,7 @@ def kronig_penney_period(well: QuantumLayer, barrier: QuantumLayer,
 
 
 def finite_well_oracle(v0: float, width: float, mass: float = 1.0,
-                       hbar2_over_2: float = 1.0,
-                       xtol: float = 1e-12) -> tuple[float, ...]:
+                       hbar2_over_2: float = 1.0) -> tuple[float, ...]:
     """Bound-state energies of the symmetric rectangular well.
 
     Independent transcendental oracle: with z = k width/2 and
@@ -737,7 +756,7 @@ def finite_well_oracle(v0: float, width: float, mass: float = 1.0,
             if flo == 0.0:
                 z = lo_in
             elif flo * fhi < 0.0:
-                z = scipy.optimize.brentq(func, lo_in, hi_in, xtol=xtol)
+                z = scipy.optimize.brentq(func, lo_in, hi_in, xtol=1e-12)
             else:
                 n += 1
                 continue

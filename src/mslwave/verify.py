@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import UNIT_ROUNDOFF, det_drift, solve_checked, sv_ratio
+from ._linalg import (_LOG_DOUBLE_MAX, UNIT_ROUNDOFF, det_drift, solve_checked,
+                      sv_ratio)
 from ._table import csv_text
 from .errors import MatrixOverflowError, PointFailures
 from .media import Layer, LayeredStructure, MslCoefficients, StackedStructure
@@ -71,7 +72,7 @@ def expm_propagator(m: MslCoefficients, d: float,
     if basis is None:
         basis = solve_qep(m)
     omega_d = basis.max_abs_im_k() * d
-    if omega_d > np.log(np.finfo(float).max):
+    if omega_d > _LOG_DOUBLE_MAX:
         raise MatrixOverflowError(
             f"expm growth |Im k| d = {omega_d:.3g} exceeds double range",
             omega_d=omega_d)

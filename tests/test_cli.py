@@ -204,6 +204,19 @@ def test_cli_piezo_escape_rejects_variants_other_than_h(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["t", "s"])
+def test_cli_energy_escape_rejects_variants_other_than_h_and_e(
+        tmp_path, capsys, variant):
+    # the escape secular determinant has an H and an E form only
+    code, out = run_escape(tmp_path, kp_doc(1.0), "--grid", "0.1:5:10",
+                           "--variant", variant)
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: energy escape scans use the H or E variant, "
+        f"got --variant {variant}\n")
+    assert not out.exists()
+
+
 def test_cli_piezo_escape_runs_the_h_variant(tmp_path):
     code, out = run_escape(tmp_path, PIEZO_DOC, "--grid", "2270:2590:40",
                            "--omega", "3.8e8", "--variant", "h",

@@ -12,7 +12,7 @@ from mslwave import (Layer, LayeredStructure, MslCoefficients, ShPiezoParams,
 
 def test_validate_passes_real_symmetric_scalars():
     m = make_scalar_medium(1, 0, 0, -1)
-    report = validate_coefficients(m, hermitian_expected=True)
+    report = validate_coefficients(m)
     assert report.passed
     assert report.violations == ()
 
@@ -85,7 +85,7 @@ def test_sh_piezo_matrices_and_eigenstructure():
                            omega=2 * math.pi * 1.0e8, kappa_x=2 * math.pi * 1.0e8 / 2000.0)
     m = make_sh_piezo_medium(params)
     assert m.n == 2
-    assert validate_coefficients(m, hermitian_expected=True).passed
+    assert validate_coefficients(m).passed
     k1, k3 = sh_piezo_expected_wavenumbers(params)
     assert k1 == pytest.approx(-1j * params.kappa_x)
     # both printed eigenvalues are zeros of the secular determinant

@@ -337,10 +337,7 @@ def test_periodic_variants_agree_on_kp_roots():
     grid = np.linspace(0.05, 18.0, 1200)
     root_sets = {}
     for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
-        scan = scan_and_refine(
-            lambda e, v=variant: kronig_penney_residuals(well, barrier, e,
-                                                         1.1, v),
-            grid, tol=1e-12)
+        scan = kp_scan(well, barrier, 1.1, variant, grid, tol=1e-12)
         root_sets[variant] = scan.root_values()
     for variant in (Variant.H, Variant.E, Variant.S):
         assert len(root_sets[variant]) == len(root_sets[Variant.T])
@@ -378,6 +375,16 @@ def test_t_form_unusable_at_huge_barrier_while_stable_forms_work():
 
 # --- Kronig-Penney scalar relations ----------------------------------------
 
+def kp_scan(well, barrier, q, variant, grid, tol):
+    """The Kronig-Penney residual scanned over energy by the scan entry,
+    one kernel call per block."""
+    def evaluate(energies):
+        fails = PointFailures(len(energies))
+        return (solvers._kronig_penney_stack(well, barrier, energies, q,
+                                             variant, fails), fails.failed)
+    return solvers._scan(evaluate, grid, tol, "x")
+
+
 def test_kp_t_form_matches_textbook_pointwise():
     well = QuantumLayer(1.0, 0.0, 1.0)
     barrier = QuantumLayer(1.0, 10.0, 1.0)
@@ -400,15 +407,12 @@ def test_kp_unequal_masses_variants_share_roots():
     well = QuantumLayer(1.0, 0.0, 1.2)
     barrier = QuantumLayer(1.7, 8.0, 0.8)
     grid = np.linspace(0.05, 15.0, 1000)
-    base = scan_and_refine(
-        lambda e: kronig_penney_residuals(well, barrier, e, 0.8, Variant.T),
-        grid, tol=1e-12).root_values()
+    base = kp_scan(well, barrier, 0.8, Variant.T, grid,
+                   tol=1e-12).root_values()
     assert base
     for variant in (Variant.H, Variant.E, Variant.S):
-        other = scan_and_refine(
-            lambda e, v=variant: kronig_penney_residuals(well, barrier, e,
-                                                         0.8, v),
-            grid, tol=1e-12).root_values()
+        other = kp_scan(well, barrier, 0.8, variant, grid,
+                        tol=1e-12).root_values()
         assert len(other) == len(base)
         for a, b in zip(other, base):
             assert a == pytest.approx(b, abs=1e-8)
@@ -421,12 +425,35 @@ def test_kp_isolated_well_limit_h_form():
     b = 40.0 / kappa_min
     well = QuantumLayer(1.0, 0.0, a)
     barrier = QuantumLayer(1.0, v0, b)
-    scan = scan_and_refine(
-        lambda e: kronig_penney_residuals(well, barrier, e, 0.0, Variant.H),
-        np.linspace(0.2, 9.9999, 4000), tol=1e-12)
+    scan = kp_scan(well, barrier, 0.0, Variant.H,
+                   np.linspace(0.2, 9.9999, 4000), tol=1e-12)
     assert len(scan.roots) == len(levels)
     for root, level in zip(scan.root_values(), levels):
         assert abs(root - level) < 1e-6
+
+
+@pytest.mark.parametrize("variant", ["T", "H", "E", "S"])
+def test_kp_kernel_on_a_block_is_its_g1_call(variant):
+    # the fold fails at E = 0 (k_A = 0) and E = V_B (k_B = 0); the live
+    # points equal the scalar call bit for bit, a failed one is NaN and
+    # holds the error the scalar call raises
+    well = QuantumLayer(1.0, 0.0, 1.0)
+    barrier = QuantumLayer(1.0, 10.0, 1.0)
+    energies = np.array([0.0, 0.5, 3.3, 10.0, 12.5, 7.3, 25.0, 9.99])
+    fails = PointFailures(len(energies))
+    values = solvers._kronig_penney_stack(well, barrier, energies, 0.9,
+                                          variant, fails)
+    np.testing.assert_array_equal(np.flatnonzero(fails.failed), [0, 3])
+    for i, e in enumerate(energies):
+        if fails.failed[i]:
+            assert np.isnan(values[i])
+            with pytest.raises(MslError) as raised:
+                kronig_penney_residuals(well, barrier, e, 0.9, variant)
+            assert type(raised.value) is type(fails.errors[i])
+            assert str(raised.value) == str(fails.errors[i])
+        else:
+            scalar = kronig_penney_residuals(well, barrier, e, 0.9, variant)
+            assert np.array(scalar).tobytes() == values[i].tobytes()
 
 
 def test_kp_residual_even_in_q():
@@ -505,11 +532,8 @@ def test_band_gap_closes_with_vanishing_potential():
 
     def gap(v0):
         barrier = QuantumLayer(1.0, v0, 1.0)
-        scan = scan_and_refine(
-            lambda e: kronig_penney_residuals(QuantumLayer(1.0, 0.0, 1.0),
-                                              barrier, e, math.pi / 2.0,
-                                              Variant.T),
-            window, tol=1e-13)
+        scan = kp_scan(QuantumLayer(1.0, 0.0, 1.0), barrier, math.pi / 2.0,
+                       Variant.T, window, tol=1e-13)
         roots = scan.root_values()
         if len(roots) >= 2:
             return max(roots) - min(roots)

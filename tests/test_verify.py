@@ -1,5 +1,7 @@
 import math
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -317,6 +319,27 @@ def test_t_det_drift_measures_det_t_against_liouville():
     s = LayeredStructure(left=m, right=m, layers=(Layer(m, d), Layer(m, d)))
     t2, _ = structure_propagator(s, "T")
     assert t_det_drift([(m, d), (m, d)], t2.data) < 1e-12
+
+
+@hyp.settings(max_examples=60, deadline=None, derandomize=True)
+@hyp.given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+           fractions=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+def test_det_t_is_the_liouville_exponential(seed, n, fractions):
+    # random hermitian layers of |Im k| d <= 1: det T of the fold is
+    # e^phi, phi = sum_i d_i tr M_i, which p != 0 makes nonzero and
+    # imaginary, so det T is checked away from 1
+    rng = np.random.default_rng(seed)
+    layers = []
+    for fraction in fractions:
+        m, basis = random_partitionable_medium(rng, n)
+        layers.append(Layer(m, fraction / max(basis.max_abs_im_k(), 1.0)))
+    s = LayeredStructure(left=layers[0].medium, layers=tuple(layers),
+                         right=layers[-1].medium)
+    pairs = [(ly.medium, ly.thickness) for ly in layers]
+    phi = sum(np.trace(first_order_matrix(m).m) * d for m, d in pairs)
+    assert phi != 0 and abs(phi.real) < 1e-12 * abs(phi)
+    t, _ = structure_propagator(s, "T")
+    assert t_det_drift(pairs, t.data) < 1e-10
 
 
 def test_t_det_drift_of_quantum_media_is_the_drift_from_one():
