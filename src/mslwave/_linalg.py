@@ -25,11 +25,6 @@ UNIT_ROUNDOFF = unit_roundoff()
 _LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))
 
 
-def right_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ``b @ inv(a)`` without forming the inverse."""
-    return np.linalg.solve(a.T, b.T).T
-
-
 def cond_estimate(a: np.ndarray) -> float:
     """2-norm condition number (exact SVD; matrices here are tiny)."""
     return float(cond_stack(np.asarray(a)[None])[0])
@@ -115,13 +110,6 @@ def solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
         raise SingularMatrixError(f"{what} is singular") from exc
 
 
-def right_solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return right_solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{what} is singular") from exc
-
-
 def stacked_call(fn, fails, make_error, a: np.ndarray, *rest: np.ndarray):
     """``fn(a, *rest)`` for a batched ``numpy.linalg`` call over (G, ...)
     stacks.
@@ -160,6 +148,7 @@ def solve_stack(a: np.ndarray, b: np.ndarray, fails, what: str) -> np.ndarray:
 
 def right_solve_stack(a: np.ndarray, b: np.ndarray, fails,
                       what: str) -> np.ndarray:
-    """Batched ``b @ inv(a)``, failing points as :func:`right_solve_checked`."""
+    """Batched ``b @ inv(a)`` without forming the inverse, failing points
+    as :func:`solve_stack`."""
     return np.swapaxes(solve_stack(np.swapaxes(a, -1, -2),
                                    np.swapaxes(b, -1, -2), fails, what), -1, -2)

@@ -114,18 +114,18 @@ def _cmd_validate(args) -> int:
     except (StructureFileError, StructuralError) as exc:
         print(f"invalid structure: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    failures = []
+    hard = lossy = False
     media = [("left", bound.left), ("right", bound.right)] + [
         (f"layer {i} ({ly.medium.label or 'unnamed'})", ly.medium)
         for i, ly in enumerate(bound.layers)]
     for where, medium in media:
         report = validate_coefficients(medium)
-        for msg in report.messages():
-            failures.append(f"{where}: {msg}")
-    hard = [f for f in failures if "singular" in f]
-    lossy = [f for f in failures if "singular" not in f]
-    for line in failures:
-        print(line, file=sys.stderr)
+        for violation, msg in zip(report.violations, report.messages()):
+            print(f"{where}: {msg}", file=sys.stderr)
+            if violation.condition == "B singular":
+                hard = True
+            else:
+                lossy = True
     if hard:
         return EXIT_VALIDATION
     if lossy and not args.allow_lossy:
@@ -187,7 +187,7 @@ def _cmd_stability(args) -> int:
         raise _UsageError("stability of a structure with quantum materials "
                           "needs --energy <E>")
     bound = defn.bind(energy=0.0 if args.energy is None else args.energy,
-                      omega=args.omega or 1.0)
+                      omega=1.0 if args.omega is None else args.omega)
     grid = _parse_grid(args.grid)
     if len(grid) and np.all(grid > 0) and grid[0] != grid[-1] \
             and max(grid[0], grid[-1]) / min(grid[0], grid[-1]) > 100.0:

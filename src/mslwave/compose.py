@@ -27,7 +27,7 @@ from ._linalg import (cond_stack, scaled_cond_stack, smallest_singular_value,
 from .errors import (IllConditionedError, MatrixOverflowError,
                      PointFailures, ResonanceError, StructuralError,
                      VariantError)
-from .media import LayeredStructure, MslCoefficients, StackedStructure
+from .media import LayeredStructure, StackedStructure
 from .propagators import (CONDITION_LIMIT, BlockMatrix, Variant, _assemble,
                           _per_point, _q_condition_error, antidiagonal_identity,
                           mode_matrix, s_from_k_stack, single_stack,
@@ -376,8 +376,7 @@ def fold_region(layers, variant: Variant, modes_of, fails: PointFailures,
     return np.tile(empty, (len(fails.failed), 1, 1)), None, []
 
 
-def structure_propagator(s: LayeredStructure, variant: Variant | str,
-                         bases: dict[MslCoefficients, ModeBasis] | None = None
+def structure_propagator(s: LayeredStructure, variant: Variant | str
                          ) -> tuple[BlockMatrix, CompositionTrace]:
     """Fold the per-layer matrices of region M under one variant's rule.
 
@@ -390,9 +389,9 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
     unimodularity drift of a T fold is reported by
     :func:`mslwave.verify.t_det_drift`, not attached. The modes of the
     media the fold reads (the layers of nonzero thickness, and the
-    half-spaces for S) come from one QEP call, with ``bases`` used where
-    given; the first error the fold records, a mode solve's included,
-    is raised.
+    half-spaces for S) come from one :func:`mslwave.qep.mode_source`
+    call; the first error the fold records, a mode solve's included, is
+    raised.
     """
     variant = Variant(variant)
     if variant not in (Variant.T, Variant.H, Variant.E, Variant.S):
@@ -404,8 +403,7 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str,
     if variant is Variant.S:
         keys += ends
     fails = PointFailures(1)
-    modes_of = mode_source(StackedStructure.of(s).media, keys, fails, {
-        m: basis.stack for m, basis in (bases or {}).items()})
+    modes_of = mode_source(StackedStructure.of(s).media, keys, fails)
     data, cond, svs = fold_region(layers, variant, modes_of, fails, s.n,
                                   trace=True, ends=ends)
     fails.raise_first()

@@ -15,6 +15,13 @@ left edge and each minus mode at the right edge, which keeps every
 exponential entering the defining matrices at magnitude <= 1. That
 referencing choice is the load-bearing trick; the matrices themselves
 are independent of per-mode rescalings.
+
+The public constructors (:func:`t_single`, :func:`h_single_stable`,
+:func:`e_single_stable`) solve their modes with
+:func:`mslwave.qep.solve_qep`; the stacked kernels take the
+:class:`ModeStack` that :func:`mslwave.qep.mode_source` hands out. The
+T -> H, T -> E and K -> S relations are one block pivot
+(:func:`_pivot_stack`), on T11, T12 and K22 respectively.
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (_LOG_DOUBLE_MAX, cond_estimate, right_solve_checked,
-                      right_solve_stack, scaled_cond, scaled_cond_stack,
-                      solve_checked, solve_stack, stacked_call)
+from ._linalg import (_LOG_DOUBLE_MAX, cond_estimate, right_solve_stack,
+                      scaled_cond, scaled_cond_stack, solve_checked,
+                      solve_stack, stacked_call)
 from .errors import (DegenerateModeError, IllConditionedError,
                      MatrixOverflowError, PointFailures, SingularMatrixError,
                      VariantError)
@@ -106,15 +113,6 @@ class BlockMatrix:
         return self.block(2, 2)
 
 
-def from_blocks(variant: Variant, b11, b12, b21, b22,
-                conditioning: float | None = None) -> BlockMatrix:
-    n = np.shape(b11)[0]
-    data = np.empty((2 * n, 2 * n), dtype=complex)
-    data[:n, :n], data[:n, n:] = b11, b12
-    data[n:, :n], data[n:, n:] = b21, b22
-    return BlockMatrix(variant=variant, data=data, conditioning=conditioning)
-
-
 def _assemble(variant: Variant, b11, b12, b21, b22,
               fails: PointFailures) -> np.ndarray:
     """(G, 2N, 2N) data from four (G, N, N) blocks; a point with a
@@ -131,13 +129,8 @@ def _assemble(variant: Variant, b11, b12, b21, b22,
 
 def antidiagonal_identity(n: int) -> BlockMatrix:
     """H(0) = S-identity = [[0, I], [I, 0]] in block form (H-tagged)."""
-    z = np.zeros((n, n))
-    i = np.eye(n)
-    return from_blocks(Variant.H, z, i, i, z)
-
-
-def _basis_for(m: MslCoefficients, basis: ModeBasis | None) -> ModeBasis:
-    return basis if basis is not None else solve_qep(m)
+    return BlockMatrix(variant=Variant.H,
+                       data=np.roll(np.eye(2 * n), n, axis=1))
 
 
 def _check_overflow(basis: ModeBasis, d: float):
@@ -237,8 +230,7 @@ def t_single_stack(modes: ModeStack, d, fails: PointFailures,
     return data
 
 
-def t_single(m: MslCoefficients, d: float,
-             basis: ModeBasis | None = None) -> BlockMatrix:
+def t_single(m: MslCoefficients, d: float) -> BlockMatrix:
     """Associated transfer matrix of one homogeneous layer.
 
     T(d) = Q0 diag(exp(i k_j d)) Q0^{-1} over the mode basis; the G = 1
@@ -249,7 +241,7 @@ def t_single(m: MslCoefficients, d: float,
     """
     if d < 0:
         raise ValueError("thickness must be >= 0")
-    basis = _basis_for(m, basis)
+    basis = solve_qep(m)
     fails = PointFailures(1)
     data = t_single_stack(basis.stack, d, fails)
     fails.raise_first()
@@ -311,35 +303,54 @@ def t_partitions(basis: ModeBasis, d: float) -> tuple[
     return (t11, t12, t21, t22), g
 
 
+def _pivot_stack(variant: Variant, a, b, c, d, fails: PointFailures,
+                 what: str) -> np.ndarray:
+    """The block pivot on ``a``: the relation (y1; y2) = [[a, b], [c, d]]
+    (x1; x2) solved for (x1; y2) in terms of (x2; y1), which is the
+    (G, 2N, 2N) data of
+
+        [[-a^{-1} b, a^{-1}], [d - c a^{-1} b, c a^{-1}]]
+
+    from four (G, N, N) blocks. H, E and S are T (or K) with the inputs
+    and outputs split differently, so each is this pivot on one block. A
+    point whose ``a`` (named ``what``) is singular, or whose result is
+    not finite, is recorded in ``fails``.
+    """
+    a_inv_b = solve_stack(a, b, fails, what)
+    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    return _assemble(variant, -a_inv_b, solve_stack(a, eye, fails, what),
+                     d - c @ a_inv_b, right_solve_stack(a, c, fails, what),
+                     fails)
+
+
+def _pivot(variant: Variant, a, b, c, d, what: str) -> BlockMatrix:
+    """The G = 1 case of :func:`_pivot_stack`, whose failures it raises;
+    the conditioning is that of ``a``."""
+    fails = PointFailures(1)
+    data = _pivot_stack(variant, a[None], b[None], c[None], d[None], fails,
+                        what)
+    fails.raise_first()
+    return BlockMatrix(variant=variant, data=data[0],
+                       conditioning=cond_estimate(a))
+
+
 def h_from_t(t: BlockMatrix) -> BlockMatrix:
-    """H = [[-T11^{-1} T12, T11^{-1}], [T22 - T21 T11^{-1} T12, T21 T11^{-1}]]."""
+    """H = [[-T11^{-1} T12, T11^{-1}], [T22 - T21 T11^{-1} T12, T21 T11^{-1}]],
+    the pivot of T on T11."""
     if t.variant is not Variant.T:
         raise VariantError(f"h_from_t needs a T matrix, got {t.variant}")
-    t11, t12, t21, t22 = t.b11, t.b12, t.b21, t.b22
-    t11_inv_t12 = solve_checked(t11, t12, "T11")
-    h11 = -t11_inv_t12
-    h12 = solve_checked(t11, np.eye(t.n, dtype=complex), "T11")
-    h21 = t22 - t21 @ t11_inv_t12
-    h22 = right_solve_checked(t11, t21, "T11")
-    return from_blocks(Variant.H, h11, h12, h21, h22,
-                       conditioning=cond_estimate(t11))
+    return _pivot(Variant.H, t.b11, t.b12, t.b21, t.b22, "T11")
 
 
 def e_from_t(t: BlockMatrix) -> BlockMatrix:
-    """E = [[-T12^{-1} T11, T12^{-1}], [T21 - T22 T12^{-1} T11, T22 T12^{-1}]].
+    """E = [[-T12^{-1} T11, T12^{-1}], [T21 - T22 T12^{-1} T11, T22 T12^{-1}]],
+    the pivot of T on T12.
 
     T12 vanishes at d = 0, where E is not numerically computable.
     """
     if t.variant is not Variant.T:
         raise VariantError(f"e_from_t needs a T matrix, got {t.variant}")
-    t11, t12, t21, t22 = t.b11, t.b12, t.b21, t.b22
-    t12_inv_t11 = solve_checked(t12, t11, "T12")
-    e11 = -t12_inv_t11
-    e12 = solve_checked(t12, np.eye(t.n, dtype=complex), "T12")
-    e21 = t21 - t22 @ t12_inv_t11
-    e22 = right_solve_checked(t12, t22, "T12")
-    return from_blocks(Variant.E, e11, e12, e21, e22,
-                       conditioning=cond_estimate(t12))
+    return _pivot(Variant.E, t.b12, t.b11, t.b22, t.b21, "T12")
 
 
 def _reference_phases(modes: ModeStack, d: float):
@@ -395,19 +406,17 @@ def single_stack(variant: Variant, modes: ModeStack, d, fails: PointFailures,
     return data, cond
 
 
-def _single(variant: Variant, m: MslCoefficients, d: float,
-            basis: ModeBasis | None) -> BlockMatrix:
+def _single(variant: Variant, m: MslCoefficients, d: float) -> BlockMatrix:
     if d < 0:
         raise ValueError("thickness must be >= 0")
     fails = PointFailures(1)
-    data, cond = single_stack(variant, _basis_for(m, basis).stack, d, fails)
+    data, cond = single_stack(variant, solve_qep(m).stack, d, fails)
     fails.raise_first()
     return BlockMatrix(variant=variant, data=data[0],
                        conditioning=float(cond[0]))
 
 
-def h_single_stable(m: MslCoefficients, d: float,
-                    basis: ModeBasis | None = None) -> BlockMatrix:
+def h_single_stable(m: MslCoefficients, d: float) -> BlockMatrix:
     """Single-layer hybrid matrix built without growing exponentials.
 
     H = U^{FA} [U^{AF}]^{-1} with U^{FA} stacking (F_j(z0); A_j(z)) and
@@ -415,11 +424,10 @@ def h_single_stable(m: MslCoefficients, d: float,
     Column rescalings cancel in the product, so the result is base
     independent, and all entries stay finite for arbitrarily large d.
     """
-    return _single(Variant.H, m, d, basis)
+    return _single(Variant.H, m, d)
 
 
-def e_single_stable(m: MslCoefficients, d: float,
-                    basis: ModeBasis | None = None) -> BlockMatrix:
+def e_single_stable(m: MslCoefficients, d: float) -> BlockMatrix:
     """Single-layer stiffness matrix from referenced mode columns.
 
     E = U^{AA} [U^{FF}]^{-1}; stable for large d (the blocks tend to the
@@ -427,7 +435,7 @@ def e_single_stable(m: MslCoefficients, d: float,
     collide as d -> 0, where construction is refused with a conditioning
     error: this small-thickness breakdown is intrinsic to E.
     """
-    return _single(Variant.E, m, d, basis)
+    return _single(Variant.E, m, d)
 
 
 def k_matrix(q_right: BlockMatrix, t: BlockMatrix,
@@ -444,27 +452,18 @@ def s_from_k_stack(k: np.ndarray, fails: PointFailures) -> np.ndarray:
     """Stacked :func:`s_from_k` over (G, 2N, 2N) K data. A point whose
     K22 is singular, or whose S is not finite, is recorded in ``fails``."""
     n = k.shape[-1] // 2
-    k11, k12, k21, k22 = k[:, :n, :n], k[:, :n, n:], k[:, n:, :n], k[:, n:, n:]
-    k22_inv_k21 = solve_stack(k22, k21, fails, "K22")
-    eye = np.broadcast_to(np.eye(n, dtype=complex), k22.shape)
-    return _assemble(Variant.S, -k22_inv_k21,
-                     solve_stack(k22, eye, fails, "K22"),
-                     k11 - k12 @ k22_inv_k21,
-                     right_solve_stack(k22, k12, fails, "K22"), fails)
+    return _pivot_stack(Variant.S, k[:, n:, n:], k[:, n:, :n], k[:, :n, n:],
+                        k[:, :n, :n], fails, "K22")
 
 
 def s_from_k(k: BlockMatrix) -> BlockMatrix:
-    """S = [[-K22^{-1} K21, K22^{-1}], [K11 - K12 K22^{-1} K21, K12 K22^{-1}]].
-
-    The G = 1 case of :func:`s_from_k_stack`, whose failures it raises.
+    """S = [[-K22^{-1} K21, K22^{-1}], [K11 - K12 K22^{-1} K21, K12 K22^{-1}]],
+    the pivot of K on K22; the G = 1 case of :func:`s_from_k_stack`,
+    whose failures it raises.
     """
     if k.variant is not Variant.K:
         raise VariantError(f"s_from_k needs a K matrix, got {k.variant}")
-    fails = PointFailures(1)
-    data = s_from_k_stack(k.data[None], fails)
-    fails.raise_first()
-    return BlockMatrix(variant=Variant.S, data=data[0],
-                       conditioning=cond_estimate(k.b22))
+    return _pivot(Variant.S, k.b22, k.b21, k.b12, k.b11, "K22")
 
 
 # The permutation family: matrices whose definitions differ only by

@@ -17,9 +17,11 @@ the modes of one medium, is a view of a one-point stack whose
 :func:`solve_qep_stack` solves a stack of media at once, one per
 parameter point, and records failures per point; :func:`solve_qep` is
 its G = 1 case. :func:`mode_source` is the one solver of several media:
-it solves every medium a block evaluation (or a stability report)
-reads in one :func:`solve_qep_stack` call, so a block pays the fixed
-per-call cost once rather than once per medium.
+it solves every medium a block evaluation, a structure fold or a
+stability report reads in one :func:`solve_qep_stack` call, so a block
+pays the fixed per-call cost once rather than once per medium. These
+two are where modes come from: the single-layer matrices and the folds
+take no solved modes from their callers.
 """
 
 from __future__ import annotations
@@ -332,35 +334,32 @@ def solve_qep_stack(media: MediumStack, fails: PointFailures) -> ModeStack:
     return modes
 
 
-def mode_source(media: dict, keys, fails: PointFailures,
-                known: dict | None = None):
+def mode_source(media: dict, keys, fails: PointFailures):
     """``modes_of(key)``: the :class:`ModeStack` of ``media[key]``, for
     every key of ``keys``.
 
-    ``known`` maps keys to stacks already solved; every other key of
-    ``keys`` is solved here in one :func:`solve_qep_stack` call, the
-    media joined along the point axis, with failures kept in a scratch
-    record. The first ``modes_of(key)`` copies that medium's failures
-    into ``fails`` and patches its own arrays, so failures are recorded
-    in the order the caller reads the media, exactly as a solve on
-    first read would record them; a medium never read masks no point.
+    Every key of ``keys`` is solved here in one :func:`solve_qep_stack`
+    call, the media joined along the point axis, with failures kept in a
+    scratch record. The first ``modes_of(key)`` copies that medium's
+    failures into ``fails`` and patches its own arrays, so failures are
+    recorded in the order the caller reads the media, exactly as a solve
+    on first read would record them; a medium never read masks no point.
     """
-    known = dict(known or {})
-    todo = [key for key in dict.fromkeys(keys) if key not in known]
-    parts, start = {}, 0
-    if todo:
-        stacks = [media[key] for key in todo]
+    unique = list(dict.fromkeys(keys))
+    parts, start, read = {}, 0, {}
+    if unique:
+        stacks = [media[key] for key in unique]
         joined = stacks[0] if len(stacks) == 1 else MediumStack(
             *(np.concatenate([getattr(st, f) for st in stacks])
               for f in ("b", "p", "y", "w")))
         scratch = PointFailures(joined.g)
         modes = solve_qep_stack(joined, scratch)
-        for key, st in zip(todo, stacks):
+        for key, st in zip(unique, stacks):
             parts[key] = slice(start, start + st.g)
             start += st.g
 
     def modes_of(key):
-        if key not in known:
+        if key not in read:
             part = parts[key]
             stack = ModeStack(ks=modes.ks[part], f0=modes.f0[part],
                               a0=modes.a0[part],
@@ -368,8 +367,8 @@ def mode_source(media: dict, keys, fails: PointFailures,
             fails.add(scratch.failed[part],
                       lambda i: scratch.errors[part.start + i])
             fails.patch(stack.ks, stack.f0, stack.a0, stack.degenerate)
-            known[key] = stack
-        return known[key]
+            read[key] = stack
+        return read[key]
     return modes_of
 
 

@@ -280,10 +280,13 @@ def serialize_structure(s: LayeredStructure) -> str:
         for i, seen in enumerate(media):
             if seen == m:
                 return names[i]
+        j = len(media)
+        name = m.label or f"M{j}"
+        # a label may be another medium's name: take the first free M<j>
+        while name in names.values():
+            name, j = f"M{j}", j + 1
+        names[len(media)] = name
         media.append(m)
-        names[len(media) - 1] = name = m.label or f"M{len(media) - 1}"
-        if any(names[i] == name for i in range(len(media) - 1)):
-            names[len(media) - 1] = name = f"M{len(media) - 1}"
         return name
 
     left = register(s.left)

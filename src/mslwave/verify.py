@@ -20,7 +20,7 @@ from ._table import csv_text
 from .errors import MatrixOverflowError, PointFailures
 from .media import Layer, LayeredStructure, MslCoefficients, StackedStructure
 from .propagators import (BlockMatrix, Variant, gamma_blocks, mode_matrix,
-                          t_single)
+                          t_single_stack)
 from .compose import fold_region
 from .qep import ModeBasis, mode_source, solve_qep
 
@@ -60,8 +60,7 @@ def first_order_matrix(m: MslCoefficients) -> FirstOrderSystem:
     return FirstOrderSystem(m=blocks, medium=m)
 
 
-def expm_propagator(m: MslCoefficients, d: float,
-                    basis: ModeBasis | None = None) -> BlockMatrix:
+def expm_propagator(m: MslCoefficients, d: float) -> BlockMatrix:
     """Oracle transfer matrix: expm(M d) of the first-order system.
 
     Scaling-and-squaring Pade exponential; agrees with the modal
@@ -69,9 +68,7 @@ def expm_propagator(m: MslCoefficients, d: float,
     """
     if d < 0:
         raise ValueError("thickness must be >= 0")
-    if basis is None:
-        basis = solve_qep(m)
-    omega_d = basis.max_abs_im_k() * d
+    omega_d = solve_qep(m).max_abs_im_k() * d
     if omega_d > _LOG_DOUBLE_MAX:
         raise MatrixOverflowError(
             f"expm growth |Im k| d = {omega_d:.3g} exceeds double range",
@@ -173,18 +170,28 @@ def det_unimodularity_scan(m: MslCoefficients, d_grid) -> StabilityReport:
     overflow flagged.
 
     Overflow points are recorded, not fatal; the drift column is
-    :func:`t_det_drift` of each single-layer T.
+    :func:`t_det_drift` of each single-layer T. Every T comes from one
+    :func:`mslwave.propagators.t_single_stack` call over the grid; a
+    negative thickness or any other failure raises, at the first
+    thickness where it occurs.
     """
+    d_grid = np.asarray(d_grid, dtype=float)
     basis = solve_qep(m)
+    fails = PointFailures(len(d_grid))
+    ts = t_single_stack(basis.stack, d_grid, fails)
     rows = []
-    for d in np.asarray(d_grid, dtype=float):
+    for i, (d, t) in enumerate(zip(d_grid, ts)):
+        if d < 0:
+            raise ValueError("thickness must be >= 0")
         omega_d = basis.max_abs_im_k() * d
-        try:
-            t = t_single(m, float(d), basis)
+        err = fails.errors.get(i)
+        if err is None:
             rows.append((float(d), float(omega_d),
-                         t_det_drift([(m, d)], t.data, {m: basis}), False))
-        except MatrixOverflowError:
+                         t_det_drift([(m, d)], t, {m: basis}), False))
+        elif isinstance(err, MatrixOverflowError):
             rows.append((float(d), float(omega_d), None, True))
+        else:
+            raise err
     return StabilityReport(columns=("d", "omega_d", "det_drift", "overflow"),
                            rows=tuple(rows))
 

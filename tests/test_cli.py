@@ -227,11 +227,11 @@ def test_cli_piezo_escape_runs_the_h_variant(tmp_path):
     assert rows and all(row[3] == "h" for row in rows)
 
 
-def msl_doc(b, w):
-    return {"materials": {"m": {"kind": "msl", "b": [[b]], "p": [[0.0]],
-                                "y": [[0.0]], "w": [[w]]}},
-            "left": "m", "right": "m",
-            "layers": [{"material": "m", "thickness": 1.0}]}
+def msl_doc(b, w, name="m"):
+    return {"materials": {name: {"kind": "msl", "b": [[b]], "p": [[0.0]],
+                                 "y": [[0.0]], "w": [[w]]}},
+            "left": name, "right": name,
+            "layers": [{"material": name, "thickness": 1.0}]}
 
 
 @pytest.mark.parametrize("doc,args,code", [
@@ -240,9 +240,14 @@ def msl_doc(b, w):
     # a complex w is lossy: W != W^H
     (msl_doc(1.0, [1.0, 0.5]), [], cli.EXIT_VALIDATION),
     (msl_doc(1.0, [1.0, 0.5]), ["--allow-lossy"], cli.EXIT_OK),
+    # the material name is printed, but a failure is classed by its
+    # condition alone
+    (msl_doc(1.0, [1.0, 0.5], name="nonsingular"), ["--allow-lossy"],
+     cli.EXIT_OK),
     # a singular b fails whatever is allowed
     (msl_doc(0.0, 1.0), ["--allow-lossy"], cli.EXIT_VALIDATION),
-], ids=["valid", "unparseable", "lossy", "lossy-allowed", "singular"])
+], ids=["valid", "unparseable", "lossy", "lossy-allowed",
+        "lossy-allowed-named-singular", "singular"])
 def test_cli_validate_exit_codes(tmp_path, capsys, doc, args, code):
     path = tmp_path / "structure.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc),
@@ -310,6 +315,25 @@ def test_cli_stability_of_quantum_structures_needs_an_energy(tmp_path,
     plain = capsys.readouterr().out
     assert cli.main(argv + ["--energy", "0.0"]) == cli.EXIT_OK
     assert capsys.readouterr().out == plain
+
+
+def test_cli_stability_binds_at_omega_zero(tmp_path, capsys):
+    # --omega 0 is a frequency like any other; only an absent --omega
+    # binds at 1
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(PIEZO_DOC), encoding="utf-8")
+    argv = ["stability", "--structure", str(path), "--grid", "0.5:2:3",
+            "--no-meta"]
+    out = {}
+    for omega in (None, 0.0, 1.0):
+        assert cli.main(argv + ([] if omega is None else
+                                ["--omega", str(omega)])) == cli.EXIT_OK
+        out[omega] = capsys.readouterr().out
+        report = variant_comparison_report(parse_structure(json.dumps(
+            PIEZO_DOC)).bind(omega=1.0 if omega is None else omega),
+            np.linspace(0.5, 2.0, 3))
+        assert out[omega] == report.to_csv(include_meta=False)
+    assert out[None] == out[1.0] != out[0.0]
 
 
 # options that a command does not read, with a value where one is taken

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,39 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path) == []
+
+
+@functools.cache
+def read_names() -> set[str]:
+    """Every name some module of the package reads, as a variable or as
+    an attribute."""
+    names = set()
+    for path in Path(mslwave.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def private_names(path: Path) -> list[str]:
+    """The private top-level functions, classes and constants of
+    ``path``: those named ``_x``, and all of a module named ``_x``."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__") and (
+        name.startswith("_") or path.name.startswith("_"))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_private_name_has_a_reader(path):
+    # code with no caller is deleted
+    assert [name for name in private_names(path)
+            if name not in read_names()] == []

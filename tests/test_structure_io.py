@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mslwave import (StructuralError, StructureFileError, load_structure,
+from mslwave import (Layer, LayeredStructure, StructuralError,
+                     StructureFileError, load_structure, make_scalar_medium,
                      parse_structure, serialize_structure)
 from mslwave.errors import PointFailures
 
@@ -163,6 +164,18 @@ def test_round_trip_serialization():
         assert la.thickness == lb.thickness
     # serializing the reloaded structure is byte-stable
     assert serialize_structure(s2) == serialize_structure(load_structure(text))
+
+
+def test_round_trip_keeps_media_whose_names_collide():
+    # the unlabelled layer medium is the second one registered, whose
+    # default name M1 is the half-spaces' label
+    outer = make_scalar_medium(1, 0, 0, -1, label="M1")
+    inner = make_scalar_medium(1, 0, 0, 4)
+    s = LayeredStructure(left=outer, right=outer,
+                         layers=(Layer(inner, 0.5),))
+    s2 = load_structure(serialize_structure(s))
+    assert s2.left == outer and s2.right == outer
+    assert s2.layers[0].medium == inner
 
 
 def test_complex_entries_round_trip():

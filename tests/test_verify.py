@@ -77,7 +77,7 @@ def test_expm_matches_t_single_random_hermitian(rng):
     m, basis = random_partitionable_medium(rng, 3)
     im = basis.max_abs_im_k()
     d = 3.0 / im if im > 1e-9 else 1.0
-    t_modal = t_single(m, d, basis)
+    t_modal = t_single(m, d)
     t_oracle = expm_propagator(m, d)
     assert rel_err(t_modal.data, t_oracle.data) < 1e-8
 
@@ -141,7 +141,7 @@ def test_drift_exceeds_bound_floor():
     # the measured breakdown should not undershoot the predicted
     # mechanism by more than three orders of magnitude
     basis = solve_qep(EVANESCENT)
-    t = t_single(EVANESCENT, 50.0, basis)
+    t = t_single(EVANESCENT, 50.0)
     bound = roundoff_bound(EVANESCENT, 50.0, basis=basis)
     drift = t_det_drift([(EVANESCENT, 50.0)], t.data, {EVANESCENT: basis})
     assert drift >= bound / 1e3
@@ -156,7 +156,7 @@ def test_t_det_drift_regimes_evanescent():
 
     def drifts(omega_d):
         d = omega_d / basis.max_abs_im_k()
-        t = t_single(EVANESCENT, d, basis).data
+        t = t_single(EVANESCENT, d).data
         return t_det_drift([(EVANESCENT, d)], t, {EVANESCENT: basis}), \
             det_drift(t)
 
@@ -246,7 +246,7 @@ def per_scale_rows(s, scales):
                                        * ly.thickness for ly in scaled.layers))]
         for variant in "THSE":
             try:
-                m, trace = structure_propagator(scaled, variant, bases)
+                m, trace = structure_propagator(scaled, variant)
             except MslError as exc:
                 row += [type(exc).__name__] + [None] * {"T": 1, "H": 3,
                                                         "S": 2, "E": 2}[variant]
@@ -312,7 +312,7 @@ def test_t_det_drift_measures_det_t_against_liouville():
     m, basis = random_partitionable_medium(np.random.default_rng(5), 2)
     d = 0.5 / basis.max_abs_im_k()
     phi = np.trace(first_order_matrix(m).m) * d
-    t = t_single(m, d, basis).data
+    t = t_single(m, d).data
     assert abs(np.linalg.det(t) - np.exp(phi)) < 1e-12
     assert abs(np.linalg.det(t) - 1.0) > 0.1
     assert t_det_drift([(m, d)], t, {m: basis}) < 1e-12
