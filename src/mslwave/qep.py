@@ -16,22 +16,29 @@ the modes of one medium, is a view of a one-point stack whose
 
 :func:`solve_qep_stack` solves a stack of media at once, one per
 parameter point, and records failures per point; :func:`solve_qep` is
-its G = 1 case. :func:`mode_source` is the one solver of several media:
-it solves every medium a block evaluation, a structure fold or a
-stability report reads in one :func:`solve_qep_stack` call, so a block
-pays the fixed per-call cost once rather than once per medium. These
-two are where modes come from: the single-layer matrices and the folds
-take no solved modes from their callers.
+its G = 1 case. Scalar (N = 1) media, the media of every quantum
+structure, are solved in closed form, elementwise over the points, with
+the shape f0 = 1 (:func:`_scalar_modes`); larger N goes through the
+companion eigensolve. Both split the modes by the same plus/minus and
+degeneracy rules (:func:`_split`). :func:`mode_source` is the one
+solver of several media: it solves every medium a block evaluation, a
+structure fold or a stability report reads in one
+:func:`solve_qep_stack` call, so a block pays the fixed per-call cost
+once rather than once per medium. These two are where modes come from:
+the single-layer matrices and the folds take no solved modes from their
+callers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import solve_stack, stacked_call
-from .errors import EigensolveError, PartitionError, PointFailures
+from .errors import (EigensolveError, PartitionError, PointFailures,
+                     SingularMatrixError)
 from .media import MediumStack, MslCoefficients
 
 RESIDUAL_RTOL = 1e-9
@@ -206,11 +213,19 @@ def _refine_shapes(media: MediumStack, py, ks, f0s, redo) -> None:
     f0s[gi, :, ji] = cand * phase[:, None]
 
 
-def _partition_stack(b, p, ks, f0s, fails: PointFailures) -> ModeStack:
-    """Split each point's 2N eigenpairs into plus and minus sets."""
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair i < j of m columns."""
+    return np.triu_indices(m, 1)
+
+
+def _split(ks, fails: PointFailures):
+    """The plus set (G, 2N) and degeneracy flag (G,) of each point's 2N
+    wavenumbers; a point whose plus set does not hold N of them is
+    recorded in ``fails``."""
     n = ks.shape[1] // 2
-    tol = REAL_K_RTOL * np.maximum(1.0, np.max(np.abs(ks), axis=1,
-                                                keepdims=True))
+    ak = np.abs(ks)
+    tol = REAL_K_RTOL * np.maximum(1.0, np.max(ak, axis=1, keepdims=True))
     im, re = ks.imag, ks.real
     real_zone = ~((im > tol) | (im < -tol))
     plus = (im > tol) | (real_zone & (re > tol))
@@ -224,17 +239,21 @@ def _partition_stack(b, p, ks, f0s, fails: PointFailures) -> ModeStack:
 
     # a pair i < j of eigenvalues closer than DEGENERACY_RTOL of the
     # larger |k| (at least 1)
-    ak = np.abs(ks)
-    lo, hi = np.triu_indices(2 * n, 1)
+    lo, hi = _pairs(2 * n)
     pair_scale = np.maximum(ak[:, lo], ak[:, hi])
     np.maximum(1.0, pair_scale, out=pair_scale)
     pair_scale *= DEGENERACY_RTOL
     degenerate = (undecided.any(axis=1)
                   | (np.abs(ks[:, lo] - ks[:, hi]) < pair_scale).any(axis=1))
+    return plus, degenerate
 
+
+def _partition_stack(b, p, ks, f0s, fails: PointFailures) -> ModeStack:
+    """Split each point's 2N eigenpairs into plus and minus sets."""
+    plus, degenerate = _split(ks, fails)
     # plus set first; within a set by decreasing Im k, then increasing
     # Re k, then index (lexsort is stable; its last key sorts first)
-    order = np.lexsort((re, -im, ~plus), axis=-1)
+    order = np.lexsort((ks.real, -ks.imag, ~plus), axis=-1)
     rows = np.arange(len(ks))[:, None]
     ks[:] = ks[rows, order]
     f0s[:] = np.swapaxes(np.swapaxes(f0s, 1, 2)[rows, order], 1, 2)
@@ -299,36 +318,79 @@ def _companion_modes(media: MediumStack, py: np.ndarray,
     return ks, f0s / np.where(tiny, 1.0, norms)[:, None, :]
 
 
+def _companion_stack(media: MediumStack, py: np.ndarray,
+                     fails: PointFailures) -> tuple[ModeStack, np.ndarray]:
+    """The modes by companion linearization, and their residuals (G, 2N)
+    from :func:`_residuals`."""
+    ks, f0s = _companion_modes(media, py, fails)
+    theta_norms = _theta_scales(media, py)
+    redo = _residuals(media, py, theta_norms, ks, f0s) > 0.5 * RESIDUAL_RTOL
+    if redo.any():
+        _refine_shapes(media, py, ks, f0s, redo)
+    modes = _partition_stack(media.b, media.p, ks, f0s, fails)
+    return modes, _residuals(media, py, theta_norms, modes.ks, modes.f0)
+
+
+def _scalar_modes(media: MediumStack, py: np.ndarray, fails: PointFailures
+                  ) -> tuple[ModeStack, np.ndarray]:
+    """The modes of N = 1 media in closed form, and their residuals
+    (G, 2) as :func:`_residuals` measures them.
+
+    The wavenumbers solve mu^2 + c mu + v = 0 for mu = i k, with
+    c = (p + y) / b and v = w / b: mu = q and v / q with
+    q = -(c + s) / 2, where the square root s of the discriminant takes
+    the sign that adds to c, so neither root is formed by cancellation.
+    Every shape is f0 = 1, so a0 = i k b + p, and the plus mode is put
+    first by swapping the two columns where it is second.
+    """
+    b, py, w = media.b[:, 0], py[:, 0], media.w[:, 0]
+    singular = b[:, 0] == 0
+    fails.add(singular, lambda i: SingularMatrixError("B is singular"))
+    if singular.any():
+        b = np.where(singular[:, None], 1.0, b)
+    c, v = py / b, w / b
+    s = np.sqrt(c * c - 4.0 * v)
+    np.negative(s, out=s, where=c.real * s.real + c.imag * s.imag < 0)
+    q = -0.5 * (c + s)
+    # q = 0 only where c = v = 0: a double root at k = 0
+    mu = np.concatenate([q, v / np.where(q == 0, 1.0, q)], axis=1)
+    ks = np.multiply(-1j, mu, out=mu)
+    ak = np.abs(ks)
+    scale = ak * ak * np.abs(b) + ak * np.abs(py) + np.abs(w)
+    residuals = np.abs(_theta(b, py, w, ks)) / np.maximum(1.0, scale)
+
+    plus, degenerate = _split(ks, fails)
+    swap = ~plus[:, 0]
+    ks[swap] = ks[swap, ::-1]
+    return ModeStack(ks=ks, f0=np.ones((len(ks), 1, 2), dtype=complex),
+                     a0=(1j * ks)[:, None, :] * media.b + media.p,
+                     degenerate=degenerate), residuals
+
+
 def solve_qep_stack(media: MediumStack, fails: PointFailures) -> ModeStack:
-    """Solve the quadratic eigenproblems of a stack of media by
-    companion linearization.
+    """Solve the quadratic eigenproblems of a stack of media.
 
     The stack's points are independent problems: G points of one medium,
     or several media joined along the point axis (:func:`mode_source`),
     are solved in one call, and each point's modes and failure do not
     depend on the other points.
 
-    Pairs (F, i k F) so each problem becomes a standard eigenproblem for
+    N = 1 media are solved in closed form, elementwise over the points,
+    with unit shapes f0 = 1 (:func:`_scalar_modes`). Larger N pairs
+    (F, i k F) so each problem becomes a standard eigenproblem for
     mu = i k:
 
-        mu [f; h] = [[0, I], [-b^{-1} w, -b^{-1}(p + y)]] [f; h].
+        mu [f; h] = [[0, I], [-b^{-1} w, -b^{-1}(p + y)]] [f; h],
 
-    Shapes whose residual exceeds half of RESIDUAL_RTOL get one
-    SVD-based refinement; a point whose worst residual (relative to the
-    size of Theta(k)) stays above RESIDUAL_RTOL, whose b is singular, or
-    whose modes do not split N/N is recorded in ``fails``.
+    and shapes whose residual exceeds half of RESIDUAL_RTOL get one
+    SVD-based refinement. A point whose worst residual (relative to the
+    size of Theta(k)) is above RESIDUAL_RTOL or not finite, whose b is
+    singular, or whose modes do not split N/N is recorded in ``fails``.
     """
-    py = media.p + media.y
-    ks, f0s = _companion_modes(media, py, fails)
-    theta_norms = _theta_scales(media, py)
-    redo = _residuals(media, py, theta_norms, ks, f0s) > 0.5 * RESIDUAL_RTOL
-    if redo.any():
-        _refine_shapes(media, py, ks, f0s, redo)
-
-    modes = _partition_stack(media.b, media.p, ks, f0s, fails)
-    worst = np.max(_residuals(media, py, theta_norms, modes.ks, modes.f0),
-                   axis=1)
-    fails.add(worst > RESIDUAL_RTOL, lambda i: EigensolveError(
+    solve = _scalar_modes if media.n == 1 else _companion_stack
+    modes, residuals = solve(media, media.p + media.y, fails)
+    worst = np.max(residuals, axis=1)
+    fails.add(~(worst <= RESIDUAL_RTOL), lambda i: EigensolveError(
         f"QEP residual {worst[i]:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"))
     fails.patch(modes.ks, modes.f0, modes.a0, modes.degenerate)
     return modes

@@ -7,24 +7,29 @@ finite-well oracle, and the secular-scan machinery shared by all of
 them.
 
 The escape, SH-wave and band scans evaluate their secular determinant
-over blocks of SCAN_BLOCK parameter points at once through the stacked
-kernels (:func:`escape_secular_stack`, :func:`periodic_dispersion_stack`,
-the latter in all four variants). Each block evaluation solves the
-modes of every medium it reads (the half-spaces and the layers of
-nonzero thickness) in one QEP call (:func:`mslwave.qep.mode_source`),
-and a medium nothing reads is never solved. Every scan runs through one
-entry, :func:`_scan`, given a block evaluator: a stacked one for the
-escape and SH-wave scans, or, from :func:`scan_and_refine`, a plain
-callable looped point by point. It refines all brackets of a scan in
-lockstep, so refinement runs in blocks too: sign changes by Illinois
-regula falsi, which drops pole and jump crossings after a few rounds,
-and minima of |f| by golden section. A band scan samples its energy
-grid once for all q: the period's matrix depends on the energy only,
-so each block is folded once and closed with every q's e^{iqd}; each
-q's brackets are then refined on their own, as :func:`_scan` refines
-them. The Kronig-Penney residuals are the G = 1 case of one kernel that
-folds the two-layer period at a block of energies (both layers' modes
-from one QEP call) and applies the paper's relations elementwise.
+through the stacked kernels (:func:`escape_secular_stack`,
+:func:`periodic_dispersion_stack`, the latter in all four variants) in
+blocks of SCAN_BLOCK // N parameter points for N x N media: 16 points
+for the scalar (N = 1) escape and band scans, 8 for the N = 2 SH-wave
+scans (``BENCH_22.json``). The block size is a performance choice
+only: each point's value does not depend on the points it is
+evaluated with. Each block evaluation solves the modes of every medium
+it reads (the half-spaces and the layers of nonzero thickness) in one
+QEP call (:func:`mslwave.qep.mode_source`), and a medium nothing reads
+is never solved. Every scan runs through one entry, :func:`_scan`,
+given an evaluator: a stacked one for the escape and SH-wave scans
+(:func:`_bound_stacked`, which splits its points into blocks), or, from
+:func:`scan_and_refine`, a plain callable looped point by point. It
+refines all brackets of a scan in lockstep, so refinement runs in
+blocks too: sign changes by Illinois regula falsi, which drops pole and
+jump crossings after a few rounds, and minima of |f| by golden
+section. A band scan samples its energy grid once for all q: the
+period's matrix depends on the energy only, so each block is folded
+once and closed with every q's e^{iqd}; each q's brackets are then
+refined on their own, as :func:`_scan` refines them. The
+Kronig-Penney residuals are the G = 1 case of one kernel that folds the
+two-layer period at a block of energies (both layers' modes from one
+QEP call) and applies the paper's relations elementwise.
 """
 
 from __future__ import annotations
@@ -53,10 +58,12 @@ from .structure_io import StructureDefinition
 # |f(root)| above this fraction of the scan's typical magnitude marks a
 # pole crossing (sign flip through infinity), not a zero.
 ROOT_RESIDUAL_RFRAC = 1e-3
-# Parameter points per stacked evaluation. Larger blocks amortize more
-# per-call overhead but raise a scan's peak memory; see CHANGES.md for
-# the measurement behind the choice.
-SCAN_BLOCK = 8
+# Parameter points per stacked evaluation, times the system size N: a
+# scan of N x N media is evaluated in blocks of SCAN_BLOCK // N points.
+# Larger blocks amortize more per-call overhead but raise a scan's peak
+# memory, which grows with N; BENCH_22.json has the measurement behind
+# the choice (16 points for N = 1, 8 for N = 2).
+SCAN_BLOCK = 16
 # Iteration cap of the Illinois and golden-section refiners.
 _MAX_REFINE = 4096
 # The Illinois refiner bisects a bracket that this many rounds failed to
@@ -125,8 +132,8 @@ class SecularScan:
 
 
 def _pointwise(func):
-    """Block evaluator looping a scalar callable; a library error masks
-    the point."""
+    """Evaluator looping a scalar callable; a library error masks the
+    point."""
     def evaluate(xs):
         values = np.full(len(xs), np.nan, dtype=complex)
         masked = np.zeros(len(xs), dtype=bool)
@@ -137,25 +144,6 @@ def _pointwise(func):
                 masked[i] = True
         return values, masked
     return evaluate
-
-
-def _evaluate(evaluate, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate at ``xs`` in blocks of at most SCAN_BLOCK points.
-
-    ``evaluate`` may return (..., G) arrays for a block of G points, say
-    one row per q; the results then have shape (..., len(xs)).
-    """
-    xs = np.asarray(xs, dtype=float)
-    values = np.empty(0, dtype=complex)
-    masked = np.empty(0, dtype=bool)
-    for s in range(0, len(xs), SCAN_BLOCK):
-        block = slice(s, s + SCAN_BLOCK)
-        v, m = evaluate(xs[block])
-        if not s:
-            values = np.empty(v.shape[:-1] + xs.shape, dtype=complex)
-            masked = np.empty(values.shape, dtype=bool)
-        values[..., block], masked[..., block] = v, m
-    return values, masked
 
 
 def _illinois_all(evaluate, lo, hi, flo, fhi, tol: float):
@@ -225,7 +213,7 @@ def _illinois_all(evaluate, lo, hi, flo, fhi, tol: float):
         step = np.where(bisect[idx], 0.5 * (a + b),
                         a + ua / (ua - ub) * (b - a))
         step = np.minimum(np.maximum(step, a + 0.5 * tol), b - 0.5 * tol)
-        f, masked = _evaluate(evaluate, step)
+        f, masked = evaluate(step)
         masked |= ~np.isfinite(f)
         fs = f.real
         zero = ~masked & (fs == 0.0)
@@ -257,7 +245,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _abs_values(evaluate, xs) -> np.ndarray:
     """|f| at ``xs``, inf at masked points and at non-finite values."""
-    f, masked = _evaluate(evaluate, xs)
+    f, masked = evaluate(xs)
     return np.where(masked | ~np.isfinite(f), np.inf, np.abs(f))
 
 
@@ -305,19 +293,18 @@ def scan_and_refine(func, grid, tol: float = 1e-10,
     magnitude are pole crossings or shallow dips, not roots, and are
     dropped.
 
-    The grid is evaluated in blocks of SCAN_BLOCK points and all brackets
-    are refined in lockstep, one block evaluation per round for all of
-    them; ``func`` is evaluated point by point within each block.
+    All brackets are refined in lockstep, one evaluation of ``func`` at
+    each bracket's step per round.
     """
     return _scan(_pointwise(func), grid, tol, param_name)
 
 
 def _scan(evaluate, grid, tol: float, param_name: str) -> SecularScan:
-    """:func:`scan_and_refine` through the block evaluator ``evaluate``:
+    """:func:`scan_and_refine` through the evaluator ``evaluate``:
     ``evaluate(xs)`` returns the (values, masked) arrays of the 1-D
     ``xs``."""
     grid = _scan_grid(grid)
-    values, masked = _evaluate(evaluate, grid)
+    values, masked = evaluate(grid)
     return _refine_samples(evaluate, grid, values, masked, tol, param_name)
 
 
@@ -333,7 +320,7 @@ def _refine_samples(evaluate, grid: np.ndarray, values: np.ndarray,
                     masked: np.ndarray, tol: float,
                     param_name: str) -> SecularScan:
     """The scan of :func:`scan_and_refine` from the sampled ``values``
-    and ``masked`` of its ``grid``: bracket, refine through the block
+    and ``masked`` of its ``grid``: bracket, refine through the
     evaluator ``evaluate`` and test the residuals."""
     # an overflowed value (inf or NaN) has no usable sign or size: it
     # neither ends a bracket nor sets the residual scale, though its
@@ -368,7 +355,7 @@ def _refine_samples(evaluate, grid: np.ndarray, values: np.ndarray,
         xs, fx = _illinois_all(evaluate, grid[sign], grid[sign + 1],
                                re[sign], re[sign + 1], tol)
         need = np.isnan(fx) & ~np.isnan(xs)
-        f, f_masked = _evaluate(evaluate, xs[need])
+        f, f_masked = evaluate(xs[need])
         fx[need] = np.where(f_masked, np.nan, f)
         x[~at_zero], res[~at_zero] = xs, np.abs(fx)
     else:
@@ -401,11 +388,12 @@ def _det_live(m: np.ndarray, fails: PointFailures) -> np.ndarray:
 
 def _bound_stacked(defn: StructureDefinition, bind, secular,
                    lead: tuple = ()):
-    """Block evaluator of ``secular(st, fails)``, the (*lead, G) secular
-    values and masks of ``defn`` bound at a block's G points by
-    ``bind(points)``."""
+    """Evaluator of ``secular(st, fails)``, the (*lead, G) secular values
+    and masks of ``defn`` bound at a block's G points by ``bind(points)``,
+    called in blocks of SCAN_BLOCK // N points for N x N media."""
+    size = max(1, SCAN_BLOCK // defn.materials[defn.left].n)
 
-    def evaluate(xs):
+    def evaluate_block(xs):
         fails = PointFailures(len(xs))
         st = defn.bind_stack(fails, **bind(xs))
         if fails.all_failed:
@@ -413,6 +401,14 @@ def _bound_stacked(defn: StructureDefinition, bind, secular,
             return (np.full(shape, np.nan, dtype=complex),
                     np.ones(shape, dtype=bool))
         return secular(st, fails)
+
+    def evaluate(xs):
+        values = np.empty(lead + (len(xs),), dtype=complex)
+        masked = np.empty(values.shape, dtype=bool)
+        for s in range(0, len(xs), size):
+            block = slice(s, s + size)
+            values[..., block], masked[..., block] = evaluate_block(xs[block])
+        return values, masked
 
     return evaluate
 
@@ -793,9 +789,9 @@ def band_scans(period: StructureDefinition, q_grid, e_range,
     ``q_grid``, on ``e_count`` energies spanning ``e_range``.
 
     The period's matrix depends on the energy only, so the grid is
-    sampled once for all q: each block of SCAN_BLOCK energies is bound
-    and folded once, and every q's Bloch closure is applied to that fold
-    (:func:`_bloch_residuals`). Each q's brackets are then refined as
+    sampled once for all q: each block of SCAN_BLOCK // N energies is
+    bound and folded once, and every q's Bloch closure is applied to that
+    fold (:func:`_bloch_residuals`). Each q's brackets are then refined as
     :func:`_scan` refines them, through
     :func:`periodic_dispersion_stack` at that q, so every scan equals
     the one-q scan bit for bit. Each scan's ``masked`` array marks the
@@ -821,7 +817,7 @@ def band_scans(period: StructureDefinition, q_grid, e_range,
         return bound(lambda st, fails: (
             periodic_dispersion_stack(st, variant, q, fails), fails.failed))
 
-    values, masked = _evaluate(bound(sample, (len(qs),)), e_grid)
+    values, masked = bound(sample, (len(qs),))(e_grid)
     return [_refine_samples(at_q(q), e_grid, values[i], masked[i], tol,
                             "energy")
             for i, q in enumerate(qs)]

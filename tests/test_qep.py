@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -10,6 +11,7 @@ from mslwave import (MslCoefficients, PartitionError, ShPiezoParams,
                      make_sh_piezo_medium, partition_modes, secular_matrix,
                      sh_piezo_expected_wavenumbers, solve_qep)
 from mslwave.errors import PointFailures
+from mslwave import qep
 from mslwave.media import MediumStack
 from mslwave.qep import mode_source, solve_qep_stack
 from conftest import random_hermitian_medium, random_partitionable_medium
@@ -187,3 +189,62 @@ def test_mode_basis_is_a_view_of_its_one_point_stack(seed, n):
                            (basis.a0_minus, a0, slice(n, 2 * n))):
         assert block.shape == (n, n)
         np.testing.assert_array_equal(block, u[:, cols])
+
+
+def _scalar_part():
+    """0, or a real magnitude in [1e-3, 1e3] of either sign."""
+    mag = st.floats(1e-3, 1e3)
+    return st.one_of(st.just(0.0), mag, mag.map(lambda x: -x))
+
+
+_SCALAR_COEF = st.builds(complex, _scalar_part(), _scalar_part())
+
+
+def _scalar_stack(points) -> MediumStack:
+    """The N = 1 MediumStack of (b, p, y, w) tuples, one per point."""
+    return MediumStack(*(np.array(c, dtype=complex).reshape(-1, 1, 1)
+                         for c in zip(*points)))
+
+
+@hyp.settings(max_examples=150, deadline=None)
+@hyp.given(points=st.lists(st.tuples(_SCALAR_COEF, _SCALAR_COEF,
+                                     _SCALAR_COEF, _SCALAR_COEF),
+                           min_size=1, max_size=6))
+# lossy w; p + y != 0 with two right-going modes; w = 0 (k = 0 and a
+# second root); p + y = w = 0 (a double root at k = 0); b = 0
+@hyp.example(points=[(1, 0, 0, 2 - 0.5j), (1, 0.3j, 0, -0.5 + 0.1j)])
+@hyp.example(points=[(1, -1j, -2j, -1), (2, 1, 0.5, 0)])
+@hyp.example(points=[(1, 0, 0, 0), (1 + 1j, 0.5, -0.5, 0)])
+@hyp.example(points=[(0, 1, 0, 1), (1, 0, 0, -1)])
+def test_scalar_modes_match_the_companion_solve(points):
+    # the closed-form N = 1 modes against the companion linearization of
+    # the same media, point by point: the same failures and error
+    # classes, the same plus/minus split and degeneracy flag, wavenumbers
+    # within 1e-12 of the point's largest |k| (widened by that scale over
+    # the roots' separation, the eigenvalue condition of the companion
+    # eigensolve), and the companion's shapes f0 = 1 up to a unit phase
+    media = _scalar_stack(points)
+    fails = PointFailures(media.g)
+    closed = solve_qep_stack(media, fails)
+    ref_fails = PointFailures(media.g)
+    with mock.patch.object(qep, "_scalar_modes", qep._companion_stack):
+        ref = solve_qep_stack(media, ref_fails)
+    assert [type(fails.errors.get(i)) for i in range(media.g)] == [
+        type(ref_fails.errors.get(i)) for i in range(media.g)]
+    live = ~fails.failed
+    ks, ref_ks = closed.ks[live], ref.ks[live]
+    scale = np.maximum(1.0, np.max(np.abs(ks), axis=1))
+    separation = np.abs(ks[:, 0] - ks[:, 1])
+    tol = 1e-12 * scale * np.maximum(
+        1.0, scale / np.maximum(separation, 1e-6 * scale))
+    assert (np.abs(ks - ref_ks) <= tol[:, None]).all()
+    np.testing.assert_array_equal(closed.degenerate[live],
+                                  ref.degenerate[live])
+    assert (closed.f0[live] == 1.0).all()
+    phase = ref.f0[live]
+    np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-12)
+    b, p = media.b[live], media.p[live]
+    a0_tol = (tol[:, None] * np.abs(b[:, 0])
+              + 1e-12 * (np.abs(ks) * np.abs(b[:, 0]) + np.abs(p[:, 0]) + 1))
+    assert (np.abs(ref.a0[live] / phase - closed.a0[live])[:, 0]
+            <= a0_tol).all()

@@ -136,11 +136,10 @@ def test_scan_keeps_roots_near_cell_ends_and_steep_roots(f, r):
 @hyp.example(cells=[(0, 0.015625), (1, 0.001953125)])
 def test_lockstep_refinement_matches_single_brackets_and_brentq(cells):
     # up to 20 simple roots, at most one per cell: refining all brackets
-    # in lockstep, in blocks of SCAN_BLOCK, gives bit for bit the x of
-    # refining each bracket alone, and brentq's root within tol. The
-    # residual test is off: |f| of a degree-20 polynomial spans too many
-    # decades for a limit relative to its median, and only the refiner's
-    # drops are under test here.
+    # in lockstep gives bit for bit the x of refining each bracket alone,
+    # and brentq's root within tol. The residual test is off: |f| of a
+    # degree-20 polynomial spans too many decades for a limit relative to
+    # its median, and only the refiner's drops are under test here.
     tol = 1e-10
     grid = np.linspace(0.0, 4.0, 65)
     zeros = [grid[i] + u * (grid[i + 1] - grid[i]) for i, u in cells]
@@ -302,12 +301,9 @@ def test_escape_multiwell_h_roots_are_e_roots_and_wall_jump_is_dropped():
     assert scan_h.roots
     for root in scan_h.root_values():
         assert min(abs(root - e) for e in roots_e) <= 1e-8
-    # H's det Ms jumps between about +1.73 and -1.73 at E = V_wall - 1
-    # without a zero; that bracket must not give a root
-    (lo, hi), = [b for b in scan_h.brackets if b[0] < 8.92 < b[1]]
-    assert lo == pytest.approx(8.909, abs=1e-3)
-    assert hi == pytest.approx(8.932, abs=1e-3)
-    assert not [r for r in scan_h.root_values() if lo <= r <= hi]
+    # with the unit N = 1 shape f0 = 1, det Ms keeps its phase where
+    # |k_wall| = 1 (E = V_wall - 1): no jump there, so no bracket
+    assert not [b for b in scan_h.brackets if b[0] < 8.92 < b[1]]
 
 
 # --- periodic dispersion ----------------------------------------------------
@@ -877,11 +873,17 @@ def test_periodic_dispersion_stack_mixed_block_keeps_typed_errors(rng, n):
 
 
 def test_periodic_dispersion_stack_t_masks_points_in_mixed_blocks():
-    # kappa_B b leaves the double range below E = 3.28, so the T fold of
-    # the 250-thick barrier fails below it and lives above it, within
-    # one block; the stable forms fail nowhere
+    # the barrier's mode entry a0 = -kappa_B b times exp(kappa_B 250)
+    # leaves the double range below e_edge, so the T fold of the
+    # 250-thick barrier fails below it and lives above it, within one
+    # block; the stable forms fail nowhere
     defn = quantum_defn({"a": (1.0, 0.0), "b": (1.2, 10.0)}, "b", "a",
                         [("a", 1.0), ("b", 250.0)])
+    m_b, v_b = 1.2, 10.0
+    kappa_b = scipy.optimize.brentq(
+        lambda kappa: 250.0 * kappa + math.log(kappa / m_b)
+        - math.log(np.finfo(float).max), 1.0, 4.0, xtol=1e-15)
+    e_edge = v_b - kappa_b ** 2 / m_b
     energies = np.linspace(3.0, 3.6, 2 * SCAN_BLOCK + 5)
     periods = [defn.bind(energy=e) for e in energies]
     fails = {}
@@ -890,7 +892,7 @@ def test_periodic_dispersion_stack_t_masks_points_in_mixed_blocks():
         fails[variant] = assert_same_dispersion(st, periods, variant, 0.3)
     t_fails = fails.pop(Variant.T)
     assert not any(f.failed.any() for f in fails.values())
-    np.testing.assert_array_equal(t_fails.failed, energies < 3.28)
+    np.testing.assert_array_equal(t_fails.failed, energies < e_edge)
     assert all(type(exc) is MatrixOverflowError and exc.layer_index == 1
                for exc in t_fails.errors.values())
     blocks = t_fails.failed[:2 * SCAN_BLOCK].reshape(-1, SCAN_BLOCK)
@@ -901,7 +903,7 @@ def test_periodic_dispersion_stack_t_masks_points_in_mixed_blocks():
 
 BLOCH_VARIANTS = (Variant.T, Variant.H, Variant.E, Variant.S)
 # the 250-thick barrier of tests/test_cli.py: the T fold fails below
-# E = 3.28, so its band scans mask grid energies
+# E = 3.299, so its band scans mask grid energies
 THICK_DEFN = quantum_defn({"a": (1.0, 0.0), "b": (1.2, 10.0)}, "b", "a",
                           [("a", 1.0), ("b", 250.0)])
 
@@ -1036,3 +1038,38 @@ def test_band_scans_bind_each_grid_block_once_for_all_q(monkeypatch):
         refine_per_q.append(refines)
     assert min(refine_per_q) > 0
     assert counts(q_grid) == (blocks, sum(refine_per_q))
+
+
+def scan_fields(scan):
+    """Every field of a SecularScan, with the arrays as their bytes."""
+    return (scan.param_name, scan.grid.tobytes(), scan.values.tobytes(),
+            scan.masked.tobytes(), scan.brackets, scan.roots, scan.mode)
+
+
+def test_scans_do_not_depend_on_the_block_size(monkeypatch):
+    # the block size is a performance choice only: an N = 1 escape scan,
+    # an N = 2 SH-wave scan, band scans, and a T band scan that masks
+    # the energies below its overflow edge are bit for bit the same in
+    # blocks of 1, 5 and 16 points (1, 2 and 8 for N = 2)
+    piezo = piezo_defn(["B", "A", "B"], 20e-6)
+    v_grid = np.linspace(_bulk_speed(PZT_B) * 1.001,
+                         _bulk_speed(PZT_A) * 0.999, 41)
+    omega = 2 * math.pi * 60e6
+
+    def scans():
+        return [escape_energy_scan(MULTIWELL_DEFN, MULTIWELL_GRID[::4],
+                                   Variant.H),
+                sh_wave_speeds(piezo, omega, v_grid),
+                *band_scans(KP_DEFN, [0.3, 1.1], (0.05, 18.0), Variant.H,
+                            e_count=60),
+                *band_scans(THICK_DEFN, [0.3], (3.0, 3.6), Variant.T,
+                            e_count=40)]
+
+    got = []
+    for size in (1, 5, 16):
+        monkeypatch.setattr(solvers, "SCAN_BLOCK", size)
+        got.append([scan_fields(scan) for scan in scans()])
+    assert got[0] == got[1] == got[2]
+    assert all(fields[5] for fields in got[0][:-1])
+    masked = np.frombuffer(got[0][-1][3], dtype=bool)
+    assert masked.any() and not masked.all()
