@@ -24,9 +24,8 @@ from .propagators import (BlockMatrix, GammaBlocks, Variant,
                           invert_variant, k_matrix, q_matrix, reblock_family,
                           s_from_k, t_partitions, t_single)
 from .compose import (CompositionStep, CompositionTrace, compose_e,
-                      compose_h, compose_t, interface_scattering,
-                      propagation_scattering, s_identity, star_product,
-                      structure_propagator)
+                      compose_h, compose_t, interface_scattering, s_identity,
+                      star_product, structure_propagator)
 from .solvers import (Band, ModelingWarning, QuantumLayer, RootRecord,
                       SecularScan, band_scans, band_structure, connect_bands,
                       escape_energy_scan, escape_secular, finite_well_oracle,

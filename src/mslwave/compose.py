@@ -4,13 +4,15 @@ T composes by plain matrix product, H and S by one star kernel
 (:func:`star_stack`) and E by :func:`compose_e_stack`; the only inverses
 of H, E and S act on inner factors that stay regular for arbitrarily
 thick stacks (H, S) or arbitrarily thick but not arbitrarily thin ones
-(E). Each fold records a per-step conditioning trace so the regularity
-claim is checkable rather than assumed.
+(E). Each kernel returns, with its result, the matrix whose singular
+values a fold step records: the inner factor (H, E, S) or the running
+product (T). A fold can record that per-step conditioning trace, so the
+regularity claim is checkable rather than assumed.
 
-Every variant folds through one loop (:func:`fold_stack`) stacked over
+Every variant folds through one entry (:func:`fold_stack`) stacked over
 G parameter points, recording failures per point. Each point may carry
 its own thicknesses and its own media, so one fold covers a thickness or
-an energy sweep; :func:`fold_region` adds the regions without layers.
+an energy sweep, and a region without layers is folded there too.
 :func:`structure_propagator`, :func:`compose_t`, :func:`compose_h`,
 :func:`compose_e`, :func:`star_product` and :func:`interface_scattering`
 are their G = 1 case.
@@ -67,10 +69,10 @@ class CompositionTrace:
 
 
 def t_product_stack(t2: np.ndarray, t1: np.ndarray, fails: PointFailures,
-                    trace: bool = False, layer_index: int | None = None):
-    """Stacked :func:`compose_t`, and with ``trace`` the product's
-    singular values while a point is live. An overflowing point fails,
-    naming ``layer_index`` when given."""
+                    layer_index: int | None = None):
+    """Stacked :func:`compose_t`, returning the product twice: as the
+    result and as the matrix a fold step traces. An overflowing point
+    fails, naming ``layer_index`` when given."""
     # an overflowing product becomes the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
         data = t2 @ t1
@@ -80,8 +82,7 @@ def t_product_stack(t2: np.ndarray, t1: np.ndarray, fails: PointFailures,
               MatrixOverflowError(where + "T matrix contains non-finite "
                                   "entries", layer_index=layer_index))
     fails.patch(data)
-    traced = trace and not fails.all_failed
-    return data, (np.linalg.svd(data, compute_uv=False) if traced else None)
+    return data, data
 
 
 def compose_t(t2: BlockMatrix, t1: BlockMatrix) -> BlockMatrix:
@@ -106,8 +107,8 @@ def _inner_solve_stack(factor: np.ndarray, rhs: np.ndarray, rule: Variant,
     return stacked_call(np.linalg.solve, fails, resonance, factor, rhs)
 
 
-def compose_e_stack(e_m: np.ndarray, e_rest: np.ndarray, fails: PointFailures,
-                    trace: bool = False):
+def compose_e_stack(e_m: np.ndarray, e_rest: np.ndarray,
+                    fails: PointFailures):
     """Stacked :func:`compose_e` over (G, 2N, 2N) arrays; see
     :func:`star_stack`. The inner factor is D = E^rest_11 - E^m_22."""
     n = e_m.shape[-1] // 2
@@ -116,7 +117,6 @@ def compose_e_stack(e_m: np.ndarray, e_rest: np.ndarray, fails: PointFailures,
     r11, r12, r21, r22 = (e_rest[:, :n, :n], e_rest[:, :n, n:],
                           e_rest[:, n:, :n], e_rest[:, n:, n:])
     d_factor = r11 - m22
-    sv = np.linalg.svd(d_factor, compute_uv=False) if trace else None
     dinv = _inner_solve_stack(d_factor, np.concatenate([m21, r12], axis=-1),
                               Variant.E, fails)
     dinv_e21, dinv_e12rest = dinv[..., :n], dinv[..., n:]
@@ -125,7 +125,7 @@ def compose_e_stack(e_m: np.ndarray, e_rest: np.ndarray, fails: PointFailures,
                      -m12 @ dinv_e12rest,
                      r21 @ dinv_e21,
                      r22 - r21 @ dinv_e12rest, fails)
-    return data, sv
+    return data, d_factor
 
 
 def compose_h(h_m: BlockMatrix, h_rest: BlockMatrix) -> BlockMatrix:
@@ -161,15 +161,14 @@ def compose_e(e_m: BlockMatrix, e_rest: BlockMatrix) -> BlockMatrix:
 
 
 def star_stack(y: np.ndarray, x: np.ndarray, fails: PointFailures,
-               variant: Variant, trace: bool = False):
+               variant: Variant):
     """Stacked star product Z = Y (*) X over (G, 2N, 2N) arrays (X nearer
     the left end): the one kernel of the H and S rules, which compose
     alike (Ko & Inkson, PRB 38, 9945, 1988). ``variant`` (H or S) only
     names the rule in error messages.
 
-    Returns the joined data and, with ``trace``, the singular values of
-    each point's inner factor G = I - X22 Y11 (for
-    :class:`CompositionStep`). A point with a singular G fails with
+    Returns the joined data and each point's inner factor
+    G = I - X22 Y11. A point with a singular G fails with
     :class:`ResonanceError`.
     """
     n = x.shape[-1] // 2
@@ -177,7 +176,6 @@ def star_stack(y: np.ndarray, x: np.ndarray, fails: PointFailures,
     y11, y12, y21, y22 = y[:, :n, :n], y[:, :n, n:], y[:, n:, :n], y[:, n:, n:]
     eye = np.eye(n, dtype=complex)
     g = eye - x[:, n:, n:] @ y11
-    sv = np.linalg.svd(g, compute_uv=False) if trace else None
     ginv = _inner_solve_stack(g, x[:, n:, :], variant, fails)
     ginv_x21, ginv_x22 = ginv[..., :n], ginv[..., n:]
     data = _assemble(variant,
@@ -185,7 +183,7 @@ def star_stack(y: np.ndarray, x: np.ndarray, fails: PointFailures,
                      x12 @ (eye + y11 @ ginv_x22) @ y12,
                      y21 @ ginv_x21,
                      y22 + y21 @ ginv_x22 @ y12, fails)
-    return data, sv
+    return data, g
 
 
 def star_product(y: BlockMatrix, x: BlockMatrix) -> BlockMatrix:
@@ -237,8 +235,13 @@ def interface_scattering(basis_left: ModeBasis,
 
 
 def propagation_stack(modes: ModeStack, d) -> np.ndarray:
-    """Stacked :func:`propagation_scattering`, (G, 2N, 2N); ``d`` and
-    ``modes`` as in :func:`single_stack`."""
+    """S matrices of propagation across one layer in its own mode basis,
+    (G, 2N, 2N); ``d`` and ``modes`` as in :func:`single_stack`.
+
+    Shifting the reference point by d multiplies plus coefficients by
+    exp(i k d) and minus ones by exp(-i k d); in scattering arrangement
+    both diagonals carry only decaying exponentials.
+    """
     n = modes.n
     ks = modes.ks
     d = _per_point(d)
@@ -249,17 +252,6 @@ def propagation_stack(modes: ModeStack, d) -> np.ndarray:
     data[:, diag, n + diag] = minus
     data[:, n + diag, diag] = plus
     return data
-
-
-def propagation_scattering(basis: ModeBasis, d: float) -> BlockMatrix:
-    """S matrix of propagation across one layer in its own mode basis.
-
-    Shifting the reference point by d multiplies plus coefficients by
-    exp(i k d) and minus ones by exp(-i k d); in scattering arrangement
-    both diagonals carry only decaying exponentials.
-    """
-    return BlockMatrix(variant=Variant.S,
-                       data=propagation_stack(basis.stack, d)[0])
 
 
 def _single_factors(layers, variant: Variant, modes_of,
@@ -298,13 +290,14 @@ def _s_factors(layers, ends, modes_of, fails: PointFailures):
 
 
 def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
-               trace: bool = False, ends=None):
-    """Fold the factors of G points under one variant's rule, right to
-    left, in one loop: acc = combine(acc, factor).
+               n: int, trace: bool = False, ends=None):
+    """Fold the factors of a region of G points of system size ``n``
+    under one variant's rule, right to left, in one loop:
+    acc = combine(acc, factor).
 
-    ``layers`` lists (key, d), at least one layer except under S; each
-    d is either one thickness > 0 shared by all points or a (G,) array
-    of per-point thicknesses > 0. ``modes_of(key)`` gives that medium's
+    ``layers`` lists (key, d), possibly none; each d is either one
+    thickness > 0 shared by all points or a (G,) array of per-point
+    thicknesses > 0. ``modes_of(key)`` gives that medium's
     :class:`ModeStack`, of G points or of one point shared by all; it is
     called as the fold reaches each layer or end, right to left, so a
     :func:`mslwave.qep.mode_source` records each medium's failures in
@@ -316,13 +309,30 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
     :func:`t_product_stack` (T), :func:`star_stack` (H, S) or
     :func:`compose_e_stack` (E).
 
-    Returns the (G, 2N, 2N) data; the conditioning of the single layer
-    when there is only one (T: the 2-norm condition of Q0; H and E: that
-    of the inverted factor; else None); and, with ``trace``, the
-    singular values at every step of the inner factor (H, E, S) or of
-    the running product (T). The fold stops once every point has failed,
-    before it builds the next factor.
+    A region without layers is the identity (T), the antidiagonal
+    identity (H) or the bare interface between ``ends`` (S); under E it
+    is not computable, and every point fails with
+    :class:`IllConditionedError`.
+
+    Returns the (G, 2N, 2N) data, None once every point has failed; the
+    conditioning of the single layer when there is only one (T: the
+    2-norm condition of Q0; H and E: that of the inverted factor; else
+    None); and, with ``trace``, the singular values at every step of the
+    matrix the kernel returns with its result: the inner factor (H, E,
+    S) or the running product (T). A step is traced while some point is
+    live after it. The fold stops once every point has failed, before it
+    builds the next factor.
     """
+    if not layers and variant is Variant.E:
+        fails.add(np.ones(fails.failed.shape, dtype=bool), lambda i:
+                  IllConditionedError(
+                      "E matrix of a zero-thickness region is not computable"))
+    if fails.all_failed:
+        return None, None, []
+    if not layers and variant is not Variant.S:
+        empty = (np.eye(2 * n, dtype=complex) if variant is Variant.T
+                 else antidiagonal_identity(n).data)
+        return np.tile(empty, (len(fails.failed), 1, 1)), None, []
     if variant is Variant.S:
         factors = _s_factors(layers, ends, modes_of, fails)
         count = 2 * len(layers) + 1
@@ -332,10 +342,10 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
 
     def combine(acc, factor, idx):
         if variant is Variant.T:
-            return t_product_stack(acc, factor, fails, trace, layer_index=idx)
+            return t_product_stack(acc, factor, fails, layer_index=idx)
         if variant is Variant.E:
-            return compose_e_stack(factor, acc, fails, trace)
-        return star_stack(acc, factor, fails, variant, trace)
+            return compose_e_stack(factor, acc, fails)
+        return star_stack(acc, factor, fails, variant)
 
     acc, cond = next(factors)
     steps = []
@@ -343,44 +353,18 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
     for idx in range(count - 2, -1, -1):
         if fails.all_failed:
             break
-        acc, sv = combine(acc, next(factors)[0], idx)
-        if sv is not None:
-            steps.append(sv)
-    return acc, (cond if count == 1 else None), steps
-
-
-def fold_region(layers, variant: Variant, modes_of, fails: PointFailures,
-                n: int, trace: bool = False, ends=None):
-    """:func:`fold_stack` of a region of G points of system size ``n``
-    that may have no layers.
-
-    An empty T region is the identity and an empty H region the
-    antidiagonal identity; an empty S region is the bare interface
-    between ``ends``, from :func:`fold_stack`'s own S path. An empty E
-    region is not computable: every point fails with
-    :class:`IllConditionedError`. Returns :func:`fold_stack`'s (data,
-    cond, steps), the data None once every point has failed.
-    """
-    if not layers and variant is Variant.E:
-        fails.add(np.ones(fails.failed.shape, dtype=bool), lambda i:
-                  IllConditionedError(
-                      "E matrix of a zero-thickness region is not computable"))
-    if fails.all_failed:
-        return None, None, []
-    if layers or variant is Variant.S:
-        data, cond, steps = fold_stack(layers, variant, modes_of, fails,
-                                       trace=trace, ends=ends)
-        return (None if fails.all_failed else data), cond, steps
-    empty = (np.eye(2 * n, dtype=complex) if variant is Variant.T
-             else antidiagonal_identity(n).data)
-    return np.tile(empty, (len(fails.failed), 1, 1)), None, []
+        acc, traced = combine(acc, next(factors)[0], idx)
+        if trace and not fails.all_failed:
+            steps.append(np.linalg.svd(traced, compute_uv=False))
+    return ((None if fails.all_failed else acc),
+            (cond if count == 1 else None), steps)
 
 
 def structure_propagator(s: LayeredStructure, variant: Variant | str
                          ) -> tuple[BlockMatrix, CompositionTrace]:
     """Fold the per-layer matrices of region M under one variant's rule.
 
-    The G = 1 case of :func:`fold_region`, whose failures it raises. The
+    The G = 1 case of :func:`fold_stack`, whose failures it raises. The
     fold runs from the rightmost layer toward the left, matching the
     recursion the composition rules are written in. Layers of zero
     thickness are skipped (they are exact neutral elements). For the S
@@ -404,8 +388,8 @@ def structure_propagator(s: LayeredStructure, variant: Variant | str
         keys += ends
     fails = PointFailures(1)
     modes_of = mode_source(StackedStructure.of(s).media, keys, fails)
-    data, cond, svs = fold_region(layers, variant, modes_of, fails, s.n,
-                                  trace=True, ends=ends)
+    data, cond, svs = fold_stack(layers, variant, modes_of, fails, s.n,
+                                 trace=True, ends=ends)
     fails.raise_first()
     steps = [CompositionStep(index=i, factor_norm=float(sv[0, 0]),
                              factor_sigma_min=float(sv[0, -1]))

@@ -104,7 +104,6 @@ class ModeBasis:
     """
 
     stack: ModeStack
-    medium: MslCoefficients
 
     @property
     def n(self) -> int:
@@ -284,7 +283,7 @@ def partition_modes(m: MslCoefficients, ks: np.ndarray,
     fails = PointFailures(1)
     modes = _partition_stack(m.b[None], m.p[None], ks[None], f0s[None], fails)
     fails.raise_first()
-    return ModeBasis(modes, m)
+    return ModeBasis(modes)
 
 
 def _companion_modes(media: MediumStack, py: np.ndarray,
@@ -440,4 +439,4 @@ def solve_qep(m: MslCoefficients) -> ModeBasis:
     fails = PointFailures(1)
     modes = solve_qep_stack(MediumStack.of(m), fails)
     fails.raise_first()
-    return ModeBasis(modes, m)
+    return ModeBasis(modes)

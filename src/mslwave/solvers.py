@@ -44,7 +44,7 @@ import scipy.optimize
 
 from ._linalg import solve_stack
 from ._table import csv_text
-from .compose import fold_region, fold_stack
+from .compose import fold_stack
 from .errors import (ModelingError, MslError, PointFailures, StructuralError,
                      VariantError)
 from .media import (Layer, LayeredStructure, StackedStructure,
@@ -340,13 +340,13 @@ def _refine_samples(evaluate, grid: np.ndarray, values: np.ndarray,
 
     if mode == "sign":
         re = values.real
-        pair_ok = usable[:-1] & usable[1:]
-        at_zero = pair_ok & (re[:-1] == 0.0)
+        # a usable exact zero is its own bracket, whatever its neighbours
+        at_zero = usable & (re == 0.0)
         # compare signs: the product of two huge values overflows, and
         # that of inf and 0 at an unusable pair is invalid
         signs = np.sign(re)
-        flips = pair_ok & (signs[:-1] * signs[1:] < 0)
-        starts = np.flatnonzero(at_zero | flips)
+        flips = usable[:-1] & usable[1:] & (signs[:-1] * signs[1:] < 0)
+        starts = np.flatnonzero(at_zero | np.append(flips, False))
         at_zero = at_zero[starts]
         ends = np.where(at_zero, starts, starts + 1)
         sign = starts[~at_zero]
@@ -436,7 +436,7 @@ def escape_secular_stack(st: StackedStructure, variant: Variant | str,
                       "bound-state problem requires decaying outgoing modes "
                       "in both half-spaces (propagating mode found)"))
 
-    inner = fold_region(layers, variant, modes_of, fails, n)[0]
+    inner = fold_stack(layers, variant, modes_of, fails, n)[0]
     if inner is None:
         return np.full((g, 2 * n, 2 * n), np.nan, dtype=complex)
     h11, h12 = inner[:, :n, :n], inner[:, :n, n:]
@@ -545,7 +545,7 @@ def _bloch_residuals(st: StackedStructure, variant: Variant | str, qs,
     if variant is Variant.S and not keys:
         fails.add(np.ones(st.g, dtype=bool), lambda i: ModelingError(
             "periodic S form needs a non-empty period"))
-    inner = fold_region(layers, variant, modes_of, fails, n, ends=ends)[0]
+    inner = fold_stack(layers, variant, modes_of, fails, n, ends=ends)[0]
     if inner is None:
         return [(np.full(st.g, np.nan, dtype=complex), fails.copy())
                 for _ in qs]
@@ -651,7 +651,7 @@ def _kronig_penney_stack(well: QuantumLayer, barrier: QuantumLayer,
     if not fails.all_failed:
         cell = fold_stack([(key, float(ly.thickness)) for key, ly in roles],
                           Variant.T if variant is Variant.S else variant,
-                          mode_source(media, list(media), fails), fails)[0]
+                          mode_source(media, list(media), fails), fails, 1)[0]
     if variant is Variant.S and not fails.all_failed:
         # S from K = diag(1, 1/beta_A) T diag(1, beta_B); k = 0 only at
         # failed points
@@ -690,9 +690,10 @@ def kronig_penney_residuals(well: QuantumLayer, barrier: QuantumLayer,
         S:  2 cos(qd) t   - (r (t s - S11 S22) + 1)
 
     with r = k_B m_A / (k_A m_B). The T, H and E entries come from one
-    fold of :func:`kronig_penney_period`'s two layers. The S relation is
-    evaluated in the sine/cosine bases of the media flanking the period
-    boundaries (barrier on the left, well on the right), from the
+    fold of the two layers, whose media are keyed by role ("well",
+    "barrier"), so equal layers still fold as two media. The S relation
+    is evaluated in the sine/cosine bases of the media flanking the
+    period boundaries (barrier on the left, well on the right), from the
     folded T; ``t`` is the left-to-right transmission block and ``s``
     the right-to-left one. Complex k_B below the barrier is handled by
     analytic continuation of cos/sin. The G = 1 case of

@@ -26,6 +26,7 @@ bind time so solvers can sweep them, a whole array of points at once
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,10 @@ def _require_number(entry: dict, key: str, where: str) -> float:
     v = entry[key]
     if not isinstance(v, (int, float)):
         raise StructureFileError(f"field '{key}' must be a number", f"{where}.{key}")
+    # json reads NaN, Infinity and 1e999 as floats, and an integer may
+    # lie past the double range
+    if not abs(v) <= sys.float_info.max:
+        raise StructureFileError(f"field '{key}' must be finite", f"{where}.{key}")
     return float(v)
 
 
@@ -183,7 +188,8 @@ def _parse_material(name: str, entry, where: str) -> MaterialDef:
         fields = {
             "mass": _require_number(entry, "mass", where),
             "potential": _require_number(entry, "potential", where),
-            "hbar2_over_2": float(entry.get("hbar2_over_2", 1.0)),
+            "hbar2_over_2": (_require_number(entry, "hbar2_over_2", where)
+                             if "hbar2_over_2" in entry else 1.0),
         }
         if fields["mass"] <= 0:
             raise StructureFileError("mass must be positive", f"{where}.mass")

@@ -21,7 +21,7 @@ from .errors import MatrixOverflowError, PointFailures
 from .media import Layer, LayeredStructure, MslCoefficients, StackedStructure
 from .propagators import (BlockMatrix, Variant, gamma_blocks, mode_matrix,
                           t_single_stack)
-from .compose import fold_region
+from .compose import fold_stack
 from .qep import ModeBasis, mode_source, solve_qep
 
 
@@ -295,7 +295,7 @@ def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
     Failures are recorded as data (status columns), never raised, so a
     sweep can cross from the stable into the overflow regime and back.
     Each variant is folded once, with the scales as the G points of
-    :func:`mslwave.compose.fold_region` (per-point thicknesses); the
+    :func:`mslwave.compose.fold_stack` (per-point thicknesses); the
     cells are those of per-scale
     :func:`mslwave.compose.structure_propagator` calls, and the T drift
     is :func:`t_det_drift` of each folded T. Per-medium facts (mode bases,
@@ -305,7 +305,7 @@ def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
     media = [ly.medium for ly in s.layers] + [s.left, s.right]
     fails = PointFailures(1)
     modes_of = mode_source(StackedStructure.of(s).media, media, fails)
-    bases = {m: ModeBasis(modes_of(m), m) for m in media}
+    bases = {m: ModeBasis(modes_of(m)) for m in media}
     fails.raise_first()
     scales = np.asarray(scales, dtype=float)
     g = len(scales)
@@ -330,7 +330,7 @@ def variant_comparison_report(s: LayeredStructure, scales) -> StabilityReport:
                   for j in np.flatnonzero(pattern)]
         for variant in (Variant.T, Variant.H, Variant.S, Variant.E):
             fails = PointFailures(len(points))
-            data, cond, steps = fold_region(
+            data, cond, steps = fold_stack(
                 layers, variant, lambda m: bases[m].stack, fails, s.n,
                 trace=variant is not Variant.T, ends=(s.left, s.right))
             ok = np.flatnonzero(~fails.failed)

@@ -184,6 +184,34 @@ def test_cli_escape_rejects_a_grid_that_cannot_be_scanned(tmp_path, capsys,
     assert not out.exists()
 
 
+def _bad_number_docs():
+    nan_thickness = kp_doc(1.0)
+    nan_thickness["layers"][0]["thickness"] = float("nan")
+    string_hbar2 = kp_doc(1.0)
+    string_hbar2["materials"]["a"]["hbar2_over_2"] = "x"
+    return [(nan_thickness, "layers[0].thickness"),
+            (string_hbar2, "materials.a.hbar2_over_2")]
+
+
+@pytest.mark.parametrize("command,args", [
+    ("escape", ["--grid", "0.1:5:10"]), ("validate", []),
+    ("bands", ["--grid", "0.7:0.7:1", "--range", "0.05:5"]),
+    ("stability", ["--grid", "0.5:1:2", "--energy", "2.0"])])
+@pytest.mark.parametrize("doc,where", _bad_number_docs(),
+                         ids=["nan-thickness", "string-hbar2"])
+def test_cli_rejects_numbers_that_are_not_finite(tmp_path, capsys, command,
+                                                 args, doc, where):
+    # every command rejects the file as invalid input, naming the field,
+    # rather than dropping the layer or ending in a traceback
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main([command, "--structure", str(path), *args]) \
+        == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"(at {where})\n")
+
+
 PZT = {"A": {"kind": "sh_piezo", "rho": 7500.0, "c44": 2.56e10,
              "e15": 12.7, "eps11": 6.46e-9},
        "B": {"kind": "sh_piezo", "rho": 7750.0, "c44": 2.11e10,

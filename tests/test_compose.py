@@ -14,7 +14,8 @@ from mslwave import (BlockMatrix, IllConditionedError, Layer,
                      s_from_k, s_identity, solve_qep, star_product,
                      structure_propagator, t_det_drift, t_single,
                      variant_comparison_report)
-from mslwave.compose import fold_stack, interface_scattering, star_stack
+from mslwave.compose import (fold_stack, interface_scattering,
+                             propagation_stack, star_stack)
 from mslwave.errors import PointFailures
 from mslwave.media import MediumStack
 from mslwave.qep import solve_qep_stack
@@ -259,6 +260,59 @@ def test_fold_trace_lengths():
     assert len(trace_s) == 8  # one propagation + one interface per layer
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_fold_trace_is_the_svd_of_each_step_factor(rng, n):
+    # the trace of a two-layer fold [a, b] at three points against
+    # singular values taken outside the fold, of each step's matrix built
+    # by hand: H's G = I - H^a_22 H^b_11, E's D = E^b_11 - E^a_22, the
+    # star product's G at each of S's four steps and T's running product
+    left, a, b, right = (random_partitionable_medium(rng, n)[0]
+                         for _ in range(4))
+    bases = {m: solve_qep(m) for m in (left, a, b, right)}
+    d = rng.uniform(0.3, 1.5, (3, 2))
+    eye = np.eye(n)
+
+    def svd(m):
+        return np.linalg.svd(m, compute_uv=False)
+
+    def s_steps(da, db):
+        factors = [interface_scattering(bases[b], bases[right]),
+                   BlockMatrix(Variant.S, propagation_stack(bases[b].stack,
+                                                            db)[0]),
+                   interface_scattering(bases[a], bases[b]),
+                   BlockMatrix(Variant.S, propagation_stack(bases[a].stack,
+                                                            da)[0]),
+                   interface_scattering(bases[left], bases[a])]
+        acc, steps = factors[0], []
+        for x in factors[1:]:
+            steps.append(svd(eye - x.data[n:, n:] @ acc.data[:n, :n]))
+            acc = star_product(acc, x)
+        return steps
+
+    for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
+        fails = PointFailures(len(d))
+        _, _, steps = fold_stack([(a, d[:, 0]), (b, d[:, 1])], variant,
+                                 lambda m: bases[m].stack, fails, n,
+                                 trace=True, ends=(left, right))
+        assert not fails.failed.any()
+        for i, (da, db) in enumerate(d):
+            if variant is Variant.T:
+                want = [svd(t_single(b, db).data @ t_single(a, da).data)]
+            elif variant is Variant.H:
+                h_a, h_b = h_single_stable(a, da).data, \
+                    h_single_stable(b, db).data
+                want = [svd(eye - h_a[n:, n:] @ h_b[:n, :n])]
+            elif variant is Variant.E:
+                e_a, e_b = e_single_stable(a, da).data, \
+                    e_single_stable(b, db).data
+                want = [svd(e_b[:n, :n] - e_a[n:, n:])]
+            else:
+                want = s_steps(da, db)
+            assert len(steps) == len(want)
+            for sv, w in zip(steps, want):
+                np.testing.assert_allclose(sv[i], w, rtol=1e-12, atol=0)
+
+
 def test_stability_contrast_large_total_omega_d():
     # 40 layers of |Im k| d = 2 each: total 80. H and S stay finite while
     # the T product's determinant is garbage.
@@ -338,7 +392,8 @@ def assert_fold_matches_points(left, media, thicknesses, right, variant):
     fails = PointFailures(g)
     data, cond, steps = fold_stack(
         [(m, thicknesses[:, j]) for j, m in enumerate(media)], variant,
-        lambda m: bases[m].stack, fails, trace=True, ends=(left, right))
+        lambda m: bases[m].stack, fails, left.n, trace=True,
+        ends=(left, right))
     for i in range(g):
         s = LayeredStructure(left=left, right=right, layers=tuple(
             Layer(m, float(d)) for m, d in zip(media, thicknesses[i])))
@@ -419,7 +474,7 @@ def test_fold_stack_matches_single_points_per_point_media(rng, n):
             np.stack([getattr(point[j], c) for point in draws])
             for c in "bpyw")), fails) for j, key in enumerate(keys)}
         data, _, _ = fold_stack(layers, variant, modes.__getitem__, fails,
-                                ends=("left", "right"))
+                                n, ends=("left", "right"))
         assert not fails.failed.any()
         for i, (left, a, b, right) in enumerate(draws):
             s = LayeredStructure(left=left, right=right, layers=tuple(
@@ -442,7 +497,7 @@ def test_e_fold_thin_layer_error_names_the_layer():
     fails = PointFailures(2)
     fold_stack([(EVANESCENT, np.array([1.0, 1.0])),
                 (BARRIER, np.array([0.5, 1e-13]))],
-               Variant.E, lambda m: solve_qep(m).stack, fails)
+               Variant.E, lambda m: solve_qep(m).stack, fails, 1)
     assert fails.failed.tolist() == [False, True]
     assert fails.errors[1].layer_index == 1
 
@@ -458,7 +513,7 @@ def test_fold_stack_mixes_shared_and_per_point_thicknesses(d_thin):
     for variant in (Variant.T, Variant.H, Variant.E, Variant.S):
         fails = PointFailures(2)
         data, _, _ = fold_stack([(EVANESCENT, 1.0), (BARRIER, d)], variant,
-                                lambda m: bases[m].stack, fails,
+                                lambda m: bases[m].stack, fails, 1,
                                 ends=(EVANESCENT, BARRIER))
         for i in range(2):
             s = LayeredStructure(left=EVANESCENT, right=BARRIER, layers=(

@@ -179,12 +179,12 @@ def test_h_large_d_limits_random_evanescent(rng):
 
 
 def test_h_base_independence_under_rescaling(rng):
-    m, basis = random_partitionable_medium(rng, 2)
+    _, basis = random_partitionable_medium(rng, 2)
     d = 3.0
     scales = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     st = basis.stack
     rebased = ModeBasis(ModeStack(st.ks, st.f0 * scales, st.a0 * scales,
-                                  st.degenerate), m)
+                                  st.degenerate))
     fails = PointFailures(1)
     h1, _ = single_stack(Variant.H, basis.stack, d, fails)
     h2, _ = single_stack(Variant.H, rebased.stack, d, fails)

@@ -20,7 +20,7 @@ from mslwave import (Layer, LayeredStructure, ModelingError, ModelingWarning,
                      periodic_dispersion, scan_and_refine, sh_wave_speeds,
                      structure_propagator, t_det_drift)
 from mslwave.errors import (IllConditionedError, MatrixOverflowError,
-                            PointFailures)
+                            PointFailures, StructuralError)
 from mslwave.media import MediumStack, StackedStructure
 from mslwave import qep, solvers
 from mslwave.solvers import (SCAN_BLOCK, _bloch_residuals, _bound_stacked,
@@ -172,6 +172,26 @@ def test_scan_masks_error_points_and_skips_brackets():
     # the only sign change straddles the masked region: no bracket spans it
     for lo, hi in scan.brackets:
         assert not (lo < 1.0 < hi)
+
+
+def test_scan_keeps_exact_zeros_without_a_usable_right_neighbour():
+    # an exact zero on the last grid point, before a masked point or
+    # before an overflowed value is its own bracket, as one on the
+    # first grid point is
+    def masked_above(x):
+        if x > 0.9:
+            raise StructuralError("masked region")
+        return x - 0.5
+
+    cases = [(lambda x: x - 0.0, [0.0, 0.5, 1.0], 0.0),
+             (lambda x: x - 1.0, [0.0, 0.5, 1.0], 1.0),
+             (masked_above, [0.0, 0.25, 0.5, 1.0], 0.5),
+             (lambda x: x - 0.5 if x < 0.9 else math.inf,
+              [0.0, 0.25, 0.5, 1.0], 0.5)]
+    for f, grid, root in cases:
+        scan = scan_and_refine(f, grid)
+        assert scan.brackets == ((root, root),)
+        assert [(r.value, r.residual) for r in scan.roots] == [(root, 0.0)]
 
 
 def test_scan_minimum_mode_for_complex_values():

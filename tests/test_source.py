@@ -8,7 +8,8 @@ import pytest
 
 import mslwave
 
-MODULES = sorted(path for path in Path(mslwave.__file__).parent.glob("*.py")
+PACKAGE = Path(mslwave.__file__).parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")  # __init__ only re-exports
 
 
@@ -38,18 +39,23 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path) == []
 
 
-@functools.cache
-def read_names() -> set[str]:
-    """Every name some module of the package reads, as a variable or as
-    an attribute."""
+def loaded_names(paths) -> set[str]:
+    """Every name some file of ``paths`` reads, as a variable or as an
+    attribute."""
     names = set()
-    for path in Path(mslwave.__file__).parent.glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
+
+
+@functools.cache
+def read_names() -> set[str]:
+    """Every name some module of the package reads."""
+    return loaded_names(PACKAGE.glob("*.py"))
 
 
 def private_names(path: Path) -> list[str]:
@@ -72,3 +78,17 @@ def test_every_private_name_has_a_reader(path):
     # code with no caller is deleted
     assert [name for name in private_names(path)
             if name not in read_names()] == []
+
+
+def exported_names() -> list[str]:
+    """Every name that ``mslwave/__init__.py`` re-exports."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_every_exported_name_has_a_reader():
+    # the public twin of the test above: a re-exported name is read by
+    # the package or by a test
+    readers = read_names() | loaded_names(Path(__file__).parent.glob("*.py"))
+    assert [name for name in exported_names() if name not in readers] == []

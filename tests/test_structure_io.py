@@ -114,6 +114,45 @@ MIXED = {
 }
 
 
+def _with(path, value):
+    """MIXED with one layer, and ``value`` at ``path``."""
+    doc = json.loads(json.dumps(MIXED))
+    doc["layers"] = [{"material": "M", "thickness": 1.0}]
+    *keys, last = path
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("path,value,location", [
+    (("layers", 0, "thickness"), float("nan"), "layers[0].thickness"),
+    (("layers", 0, "thickness"), float("inf"), "layers[0].thickness"),
+    (("layers", 0, "thickness"), 10 ** 400, "layers[0].thickness"),
+    (("materials", "Q", "mass"), float("inf"), "materials.Q.mass"),
+    (("materials", "Q", "potential"), -float("inf"),
+     "materials.Q.potential"),
+    (("materials", "Q", "hbar2_over_2"), float("nan"),
+     "materials.Q.hbar2_over_2"),
+    (("materials", "Z", "e15"), float("nan"), "materials.Z.e15"),
+], ids=["thickness-nan", "thickness-inf", "thickness-huge-int", "mass-inf",
+        "potential-minus-inf", "hbar2-nan", "e15-nan"])
+def test_parse_rejects_numbers_that_are_not_finite_doubles(path, value,
+                                                          location):
+    # json reads NaN and Infinity, and a NaN thickness would make
+    # escape scans drop its layer
+    with pytest.raises(StructureFileError, match="must be finite") as err:
+        parse_structure(_with(path, value))
+    assert err.value.location == location
+
+
+def test_parse_rejects_an_hbar2_over_2_that_is_not_a_number():
+    with pytest.raises(StructureFileError, match="must be a number") as err:
+        parse_structure(_with(("materials", "Q", "hbar2_over_2"), "x"))
+    assert err.value.location == "materials.Q.hbar2_over_2"
+
+
 @pytest.mark.parametrize("name", ["M", "Q", "Z"])
 def test_bind_is_row_zero_of_bind_stack(name):
     doc = dict(MIXED, left=name, right=name,
