@@ -58,15 +58,17 @@ def scaled_cond(a: np.ndarray) -> float:
 
 def scaled_cond_stack(a: np.ndarray) -> np.ndarray:
     """:func:`scaled_cond` of each matrix of a (G, n, n) stack; a zero
-    row or column gives inf."""
+    row or column, or a non-finite entry, gives inf."""
     row_max = np.max(np.abs(a), axis=-1, keepdims=True)
-    ok = (row_max != 0.0).all(axis=(-2, -1))
+    ok = ((row_max != 0.0) & (row_max < np.inf)).all(axis=(-2, -1))
     row_max[row_max == 0.0] = 1.0
-    b = a / row_max
-    col_max = np.max(np.abs(b), axis=-2, keepdims=True)
-    ok &= (col_max != 0.0).all(axis=(-2, -1))
-    col_max[col_max == 0.0] = 1.0
-    b /= col_max
+    # a non-finite entry gives inf / inf; its matrix is replaced below
+    with np.errstate(invalid="ignore"):
+        b = a / row_max
+        col_max = np.max(np.abs(b), axis=-2, keepdims=True)
+        ok &= (col_max != 0.0).all(axis=(-2, -1))
+        col_max[col_max == 0.0] = 1.0
+        b /= col_max
     if not ok.all():
         b[~ok] = np.eye(a.shape[-1])
     s = np.linalg.svd(b, compute_uv=False)

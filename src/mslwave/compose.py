@@ -257,12 +257,19 @@ def propagation_stack(modes: ModeStack, d) -> np.ndarray:
 def _single_factors(layers, variant: Variant, modes_of,
                     fails: PointFailures):
     """The single-layer matrices of a T, H or E fold, right to left, each
-    with its conditioning (T: that of Q0, in a one-layer fold only)."""
+    with its conditioning in a one-layer fold only (T: that of Q0; H and
+    E: the scaled condition of the inverted factor)."""
     for idx in range(len(layers) - 1, -1, -1):
         key, d = layers[idx]
         modes = modes_of(key)
         if variant is not Variant.T:
-            yield single_stack(variant, modes, d, fails, layer_index=idx)
+            data, den = single_stack(variant, modes, d, fails, layer_index=idx)
+            cond = None if len(layers) > 1 else scaled_cond_stack(den)
+            # drop den now, and data once the fold has combined it, so that
+            # neither stays alive while the next layer is built
+            del den
+            yield data, cond
+            del data
             continue
         cond = None if len(layers) > 1 else np.broadcast_to(
             cond_stack(mode_matrix(modes)), fails.failed.shape)
@@ -315,13 +322,14 @@ def fold_stack(layers, variant: Variant, modes_of, fails: PointFailures,
     :class:`IllConditionedError`.
 
     Returns the (G, 2N, 2N) data, None once every point has failed; the
-    conditioning of the single layer when there is only one (T: the
-    2-norm condition of Q0; H and E: that of the inverted factor; else
-    None); and, with ``trace``, the singular values at every step of the
-    matrix the kernel returns with its result: the inner factor (H, E,
-    S) or the running product (T). A step is traced while some point is
-    live after it. The fold stops once every point has failed, before it
-    builds the next factor.
+    conditioning of the single layer when there is only one, else None
+    (T: the 2-norm condition of Q0; H and E: the exact scaled condition
+    of the inverted factor U^AF or U^FF, which :func:`single_stack`
+    itself only bounds); and, with ``trace``, the singular values at
+    every step of the matrix the kernel returns with its result: the
+    inner factor (H, E, S) or the running product (T). A step is traced
+    while some point is live after it. The fold stops once every point
+    has failed, before it builds the next factor.
     """
     if not layers and variant is Variant.E:
         fails.add(np.ones(fails.failed.shape, dtype=bool), lambda i:

@@ -370,15 +370,19 @@ def single_stack(variant: Variant, modes: ModeStack, d, fails: PointFailures,
                  layer_index: int | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked :func:`h_single_stable` or :func:`e_single_stable`: the
-    (G, 2N, 2N) data and the conditioning of every point.
+    (G, 2N, 2N) data and the inverted factor of every point.
 
     ``d`` is one thickness or a (G,) array of per-point thicknesses, and
     ``modes`` has G points or one point shared by all.
 
     H = U^{FA} [U^{AF}]^{-1} and E = U^{AA} [U^{FF}]^{-1}; a point whose
-    scaled condition of the inverted factor exceeds CONDITION_LIMIT, or
-    whose result is not finite, is recorded in ``fails``. With a
-    ``layer_index`` those errors name that layer of a fold.
+    inverted factor (U^{AF} or U^{FF}) has a scaled condition above
+    CONDITION_LIMIT, or whose result is not finite, is recorded in
+    ``fails`` (:func:`_single_solve`). With a ``layer_index`` those
+    errors name that layer of a fold. The exact scaled condition is
+    computed only where a bound cannot clear the point; a caller that
+    reports the conditioning takes :func:`mslwave._linalg.scaled_cond_stack`
+    of the returned factor.
     """
     n = modes.n
     at_z0, at_z = _reference_phases(modes, d)
@@ -389,31 +393,71 @@ def single_stack(variant: Variant, modes: ModeStack, d, fails: PointFailures,
     if variant is Variant.H:
         num[:, :n], num[:, n:] = modes.f0 * at_z0, modes.a0 * at_z
         den[:, :n], den[:, n:] = modes.a0 * at_z0, modes.f0 * at_z
-        name, why = "U^AF", "hybrid matrix pole"
     else:
         num[:, :n], num[:, n:] = modes.a0 * at_z0, modes.a0 * at_z
         den[:, :n], den[:, n:] = modes.f0 * at_z0, modes.f0 * at_z
+    return _single_solve(variant, num, den, fails, layer_index), den
+
+
+def _single_solve(variant: Variant, num: np.ndarray, den: np.ndarray,
+                  fails: PointFailures, layer_index: int | None
+                  ) -> np.ndarray:
+    """num den^{-1} of :func:`single_stack` over (G, 2N, 2N) stacks.
+
+    A live point whose den has a scaled condition above CONDITION_LIMIT
+    fails with :class:`IllConditionedError`, whose ``estimate`` is that
+    condition; then a point whose den is singular, or whose result is
+    not finite, fails. The exact condition, an equilibration and an SVD
+    (:func:`scaled_cond_stack`), runs only at the points a cheap upper
+    bound cannot clear. With r_i the row maxima and c_j the column maxima
+    of the equilibration, B = diag(1/r) den diag(1/c) has |b_ij| <= 1 and
+    c_j <= 1, so for n = 2N
+
+        cond_2(B) <= ||B||_F ||B^{-1}||_F <= n ||den^{-1} diag(r)||_F.
+
+    A point passes when that bound is at most CONDITION_LIMIT / 16; the
+    margin covers the rounding of ``inv`` and of the SVD's sigma_min, so
+    no point is decided otherwise than by the exact condition. A point
+    whose bound is larger or NaN, or whose den ``inv`` finds singular,
+    gets the exact condition.
+    """
+    if variant is Variant.H:
+        name, why = "U^AF", "hybrid matrix pole"
+    else:
         name, why = "U^FF", "stiffness matrix is not computable at small thickness"
-    cond = scaled_cond_stack(den)
-    fails.add(cond > CONDITION_LIMIT, lambda i: IllConditionedError(
-        f"{name} condition {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e} "
-        f"({why})", estimate=float(cond[i]), layer_index=layer_index))
+    g, n = den.shape[:2]
+    singular = PointFailures(g)
+    inv = stacked_call(np.linalg.inv, singular, lambda i, exc: exc, den)
+    # a huge or non-finite den gives inf, or inf * 0 = NaN, here; both
+    # fail the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv *= np.abs(den).max(axis=-1)[:, None, :]
+        parts = inv.view(float)
+        bound_sq = np.einsum("gij,gij->g", parts, parts)
+    cleared = bound_sq <= (CONDITION_LIMIT / (16 * n)) ** 2
+    if not cleared.all() or singular.failed.any():
+        exact = (~cleared | singular.failed) & ~fails.failed
+        cond = np.zeros(g)
+        cond[exact] = scaled_cond_stack(den[exact])
+        fails.add(cond > CONDITION_LIMIT, lambda i: IllConditionedError(
+            f"{name} condition {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e} "
+            f"({why})", estimate=float(cond[i]), layer_index=layer_index))
     data = right_solve_stack(den, num, fails, name)
     fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
               MatrixOverflowError(f"{variant} matrix contains non-finite entries",
                                   layer_index=layer_index))
     fails.patch(data)
-    return data, cond
+    return data
 
 
 def _single(variant: Variant, m: MslCoefficients, d: float) -> BlockMatrix:
     if d < 0:
         raise ValueError("thickness must be >= 0")
     fails = PointFailures(1)
-    data, cond = single_stack(variant, solve_qep(m).stack, d, fails)
+    data, den = single_stack(variant, solve_qep(m).stack, d, fails)
     fails.raise_first()
     return BlockMatrix(variant=variant, data=data[0],
-                       conditioning=float(cond[0]))
+                       conditioning=scaled_cond(den[0]))
 
 
 def h_single_stable(m: MslCoefficients, d: float) -> BlockMatrix:

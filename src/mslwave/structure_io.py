@@ -39,14 +39,26 @@ from .media import (Layer, LayeredStructure, MediumStack, MslCoefficients,
 _KINDS = ("msl", "quantum", "sh_piezo")
 
 
+def _is_number(v) -> bool:
+    # json reads true and false as bool, a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(v, what: str, where: str) -> float:
+    """The JSON number ``v`` as a float, if it lies in the double range."""
+    # json reads NaN, Infinity and 1e999 as floats, and an integer may
+    # lie past the double range
+    if not abs(v) <= sys.float_info.max:
+        raise StructureFileError(f"{what} must be finite", where)
+    return float(v)
+
+
 def _complex_entry(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise StructureFileError(
-        "matrix entries must be numbers or [re, im] pairs", where)
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(map(_is_number, parts)):
+        raise StructureFileError(
+            "matrix entries must be numbers or [re, im] pairs", where)
+    return complex(*(_finite(v, "matrix entries", where) for v in parts))
 
 
 def _complex_matrix(value, where: str) -> np.ndarray:
@@ -68,13 +80,9 @@ def _require_number(entry: dict, key: str, where: str) -> float:
     if key not in entry:
         raise StructureFileError(f"missing field '{key}'", where)
     v = entry[key]
-    if not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise StructureFileError(f"field '{key}' must be a number", f"{where}.{key}")
-    # json reads NaN, Infinity and 1e999 as floats, and an integer may
-    # lie past the double range
-    if not abs(v) <= sys.float_info.max:
-        raise StructureFileError(f"field '{key}' must be finite", f"{where}.{key}")
-    return float(v)
+    return _finite(v, f"field '{key}'", f"{where}.{key}")
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,24 @@
 import math
 import warnings
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from mslwave import (BlockMatrix, IllConditionedError, MatrixOverflowError,
+from mslwave import (BlockMatrix, IllConditionedError, Layer,
+                     LayeredStructure, MatrixOverflowError, MslError,
                      ShPiezoParams, SingularMatrixError, Variant, VariantError,
                      antidiagonal_identity, e_from_t, e_single_stable,
                      gamma_blocks, h_from_t, h_single_stable, invert_variant,
                      k_matrix, make_quantum_medium, make_scalar_medium,
                      make_sh_piezo_medium,
                      q_matrix, reblock_family, s_from_k, solve_qep,
-                     t_det_drift, t_partitions, t_single)
+                     structure_propagator, t_det_drift, t_partitions, t_single)
+from mslwave._linalg import right_solve_stack, scaled_cond, scaled_cond_stack
 from mslwave.errors import PointFailures
-from mslwave.propagators import _reference_phases, single_stack
+from mslwave.propagators import (CONDITION_LIMIT, _reference_phases,
+                                 _single_solve, single_stack)
 from mslwave.qep import ModeBasis, ModeStack
 from conftest import random_evanescent_medium, random_partitionable_medium
 
@@ -245,6 +250,168 @@ def test_e_large_d_limits_random_evanescent(rng):
         e22_limit = basis.a0_minus @ np.linalg.inv(basis.f0_minus)
         assert rel_err(e.b11, e11_limit) < 1e-12
         assert rel_err(e.b22, e22_limit) < 1e-12
+
+
+# --- the H and E condition gate ---------------------------------------
+
+def _exact_single_solve(variant, num, den, fails, layer_index):
+    """The single-layer solve as the exact rule states it: the scaled
+    condition of every point's den, then the right solve."""
+    name, why = (("U^AF", "hybrid matrix pole") if variant is Variant.H
+                 else ("U^FF", "stiffness matrix is not computable at small "
+                       "thickness"))
+    cond = scaled_cond_stack(den)
+    fails.add(cond > CONDITION_LIMIT, lambda i: IllConditionedError(
+        f"{name} condition {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e} "
+        f"({why})", estimate=float(cond[i]), layer_index=layer_index))
+    data = right_solve_stack(den, num, fails, name)
+    fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
+              MatrixOverflowError(f"{variant} matrix contains non-finite entries",
+                                  layer_index=layer_index))
+    fails.patch(data)
+    return data
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _gate_den(rng, kind: str, n: int) -> np.ndarray:
+    """One n x n den of the given kind, its rows and columns scaled by up
+    to 1e3 either way as mixed physical units would."""
+    if kind == "near_limit":
+        # singular values from 1 down to 1/kappa, kappa in [LIMIT/64, 4 LIMIT]
+        kappa = CONDITION_LIMIT * 2.0 ** rng.uniform(-6.0, 2.0)
+        u = np.linalg.qr(_complex_normal(rng, (n, n)))[0]
+        v = np.linalg.qr(_complex_normal(rng, (n, n)))[0]
+        a = (u * np.geomspace(1.0, 1.0 / kappa, n)) @ v.conj().T
+    else:
+        a = _complex_normal(rng, (n, n))
+    a *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    a *= 10.0 ** rng.uniform(-3.0, 3.0, (1, n))
+    i, j = rng.integers(n, size=2)
+    if kind == "singular":
+        a[(i + 1) % n] = 2.0 * a[i]
+    elif kind == "zero_row":
+        a[i] = 0.0
+    elif kind == "zero_col":
+        a[:, j] = 0.0
+    elif kind == "nan":
+        a[i, j] = np.nan
+    elif kind == "inf":
+        a[i, j] = rng.choice([np.inf, -np.inf, 1j * np.inf])
+    return a
+
+
+GATE_KINDS = ("well", "near_limit", "near_limit", "near_limit", "singular",
+              "zero_row", "zero_col", "nan", "inf")
+
+
+@hyp.settings(max_examples=150, deadline=None, derandomize=True)
+@hyp.given(seed=st.integers(0, 2 ** 32 - 1), big_n=st.integers(1, 3),
+           g=st.integers(1, 24), variant=st.sampled_from([Variant.H,
+                                                          Variant.E]),
+           layer_index=st.sampled_from([None, 0, 3]))
+def test_single_solve_decides_every_point_as_the_exact_condition(
+        seed, big_n, g, variant, layer_index):
+    # the bound-gated solve fails, names and solves every point exactly as
+    # the exact scaled condition does, on dens placed on both sides of
+    # CONDITION_LIMIT and on singular, zero and non-finite ones
+    rng = np.random.default_rng(seed)
+    n = 2 * big_n
+    den = np.stack([_gate_den(rng, GATE_KINDS[k], n)
+                    for k in rng.integers(len(GATE_KINDS), size=g)])
+    num = _complex_normal(rng, (g, n, n))
+    earlier = rng.random(g) < 0.1
+    runs = []
+    for solve in (_single_solve, _exact_single_solve):
+        fails = PointFailures(g)
+        fails.add(earlier, lambda i: MslError("failed upstream"))
+        args = num.copy(), den.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = solve(variant, *args, fails, layer_index)
+        assert np.array_equal(args[1], den, equal_nan=True)
+        runs.append((data, fails))
+    (data, fails), (want_data, want) = runs
+    assert np.array_equal(fails.failed, want.failed)
+    assert data.tobytes() == want_data.tobytes()
+    for i, exc in want.errors.items():
+        got = fails.errors[i]
+        assert type(got) is type(exc) and str(got) == str(exc)
+        for attr in ("estimate", "layer_index"):
+            assert getattr(got, attr, None) == getattr(exc, attr, None)
+
+
+def test_single_stack_of_zero_wavenumbers_solves_its_den():
+    # with k = 0 the H factor is U^AF = [A0; F0]: the public stacked call
+    # fails and solves exactly as the exact rule on that den
+    rng = np.random.default_rng(7)
+    for big_n, kinds in ((1, ("well", "near_limit", "singular", "zero_row")),
+                         (2, ("near_limit", "well", "zero_col"))):
+        den = np.stack([_gate_den(rng, kind, 2 * big_n)
+                        for kind in kinds * 4])
+        g = len(den)
+        modes = ModeStack(np.zeros((g, 2 * big_n)), den[:, big_n:],
+                          den[:, :big_n], np.zeros(g, dtype=bool))
+        fails, want = PointFailures(g), PointFailures(g)
+        data, factor = single_stack(Variant.H, modes, 1.0, fails,
+                                    layer_index=2)
+        num = np.concatenate([den[:, big_n:], den[:, :big_n]], axis=1)
+        want_data = _exact_single_solve(Variant.H, num, den, want, 2)
+        assert np.array_equal(factor, den)
+        assert np.array_equal(fails.failed, want.failed)
+        assert want.failed.any() and not want.failed.all()
+        assert data.tobytes() == want_data.tobytes()
+        assert [str(e) for e in fails.errors.values()] == \
+            [str(e) for e in want.errors.values()]
+
+
+def test_scaled_cond_of_a_non_finite_matrix_is_inf():
+    a = np.array([[[np.nan, 1.0], [0.0, 1.0]], [[np.inf, 1.0], [0.0, 1.0]],
+                  [[1.0, 2.0], [3.0, 4.0]]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cond = scaled_cond_stack(a)
+    assert cond[0] == cond[1] == np.inf
+    assert cond[2] == scaled_cond(a[2])
+
+
+def _inverted_factor(variant: Variant, m, d: float) -> np.ndarray:
+    """U^AF (H) or U^FF (E) of one layer, built from its definition."""
+    modes = solve_qep(m).stack
+    at_z0, at_z = _reference_phases(modes, d)
+    top, bottom = ((modes.a0, modes.f0) if variant is Variant.H
+                   else (modes.f0, modes.f0))
+    return np.concatenate([top * at_z0, bottom * at_z], axis=1)[0]
+
+
+def test_well_conditioned_single_layers_run_no_svd(monkeypatch, rng):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    stacks = [(solve_qep(m).stack, g) for m, g in (
+        (EVANESCENT, 16), (random_evanescent_medium(rng, 2), 8))]
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for modes, g in stacks:
+        for variant in (Variant.H, Variant.E):
+            fails = PointFailures(g)
+            single_stack(variant, modes, np.linspace(0.5, 3.0, g), fails,
+                         layer_index=0)
+            assert not fails.failed.any()
+    assert calls == []
+    # the one-layer matrices still report the exact scaled condition
+    m, d = random_evanescent_medium(rng, 2), 0.7
+    assert h_single_stable(m, d).conditioning == scaled_cond(
+        _inverted_factor(Variant.H, m, d))
+    fold, _ = structure_propagator(
+        LayeredStructure(left=m, layers=(Layer(m, d),), right=m), "E")
+    assert fold.conditioning == scaled_cond(_inverted_factor(Variant.E, m, d))
+    assert calls
 
 
 # --- Q and K -----------------------------------------------------------

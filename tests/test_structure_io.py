@@ -136,8 +136,14 @@ def _with(path, value):
     (("materials", "Q", "hbar2_over_2"), float("nan"),
      "materials.Q.hbar2_over_2"),
     (("materials", "Z", "e15"), float("nan"), "materials.Z.e15"),
+    (("materials", "M", "w"), [[[float("nan"), 0.0]]], "materials.M.w[0][0]"),
+    (("materials", "M", "b"), [[[2.0, float("inf")]]], "materials.M.b[0][0]"),
+    (("materials", "M", "p"), [[-float("inf")]], "materials.M.p[0][0]"),
+    (("materials", "M", "y"), [[0.0, 1.0], [10 ** 400, 0.0]],
+     "materials.M.y[1][0]"),
 ], ids=["thickness-nan", "thickness-inf", "thickness-huge-int", "mass-inf",
-        "potential-minus-inf", "hbar2-nan", "e15-nan"])
+        "potential-minus-inf", "hbar2-nan", "e15-nan", "msl-w-pair-nan",
+        "msl-b-pair-inf", "msl-p-minus-inf", "msl-y-huge-int"])
 def test_parse_rejects_numbers_that_are_not_finite_doubles(path, value,
                                                           location):
     # json reads NaN and Infinity, and a NaN thickness would make
@@ -145,6 +151,25 @@ def test_parse_rejects_numbers_that_are_not_finite_doubles(path, value,
     with pytest.raises(StructureFileError, match="must be finite") as err:
         parse_structure(_with(path, value))
     assert err.value.location == location
+
+
+@pytest.mark.parametrize("path,value,location,message", [
+    (("layers", 0, "thickness"), True, "layers[0].thickness",
+     "field 'thickness' must be a number"),
+    (("materials", "Q", "mass"), False, "materials.Q.mass",
+     "field 'mass' must be a number"),
+    (("materials", "M", "w"), [[True]], "materials.M.w[0][0]",
+     "matrix entries must be numbers or [re, im] pairs"),
+    (("materials", "M", "b"), [[[2.0, False]]], "materials.M.b[0][0]",
+     "matrix entries must be numbers or [re, im] pairs"),
+], ids=["thickness-true", "mass-false", "msl-w-true", "msl-b-pair-false"])
+def test_parse_rejects_json_booleans_as_numbers(path, value, location,
+                                                message):
+    # bool is a subclass of int, so true would otherwise read as 1.0
+    with pytest.raises(StructureFileError) as err:
+        parse_structure(_with(path, value))
+    assert err.value.location == location
+    assert str(err.value) == f"{message} (at {location})"
 
 
 def test_parse_rejects_an_hbar2_over_2_that_is_not_a_number():
@@ -175,10 +200,10 @@ def test_bind_is_row_zero_of_bind_stack(name):
      "w contains non-finite entries"),
     (dict(MIXED, left="Z", right="Z"), {"omega": float("nan")},
      "w contains non-finite entries"),
-    ({"materials": {"N": {"kind": "msl", "b": [[1.0]], "p": [[0.0]],
-                          "y": [[float("nan")]], "w": [[1.0]]}},
-      "left": "N", "right": "N", "layers": []}, {},
-     "y contains non-finite entries"),
+    ({"materials": {"L": {"kind": "quantum", "mass": 1e-310,
+                          "potential": 0.0}},
+      "left": "L", "right": "L", "layers": []}, {},
+     "b contains non-finite entries"),
     ({"materials": {"H": {"kind": "quantum", "mass": 1.0, "potential": 0.0,
                           "hbar2_over_2": -1.0}},
       "left": "H", "right": "H", "layers": []}, {},
