@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import PointFailures, SingularMatrixError
 
 def unit_roundoff() -> float:
     """Empirically detect the unit roundoff.
@@ -76,6 +76,45 @@ def scaled_cond_stack(a: np.ndarray) -> np.ndarray:
         cond = s[:, 0] / s[:, -1]
     cond[~ok] = np.inf
     return cond
+
+
+CONDITION_LIMIT = 1e12
+
+
+def condition_gate(a: np.ndarray, fails, make_error) -> None:
+    """Refuse the matrices of a (G, n, n) stack whose scaled condition
+    (:func:`scaled_cond_stack`) exceeds CONDITION_LIMIT: each such live
+    point is recorded in ``fails`` as ``make_error(i, cond)``.
+
+    The exact condition, an equilibration and an SVD, runs only at the
+    points a cheap upper bound cannot clear. With r_i the row maxima and
+    c_j the column maxima of the equilibration, B = diag(1/r) a diag(1/c)
+    has |b_ij| <= 1 and c_j <= 1, so
+
+        cond_2(B) <= ||B||_F ||B^{-1}||_F <= n ||a^{-1} diag(r)||_F.
+
+    A point passes when that bound is at most CONDITION_LIMIT / 16; the
+    margin covers the rounding of ``inv`` and of the SVD's sigma_min, so
+    no point is decided otherwise than by the exact condition. A point
+    whose bound is larger or NaN, or whose matrix ``inv`` finds singular,
+    gets the exact condition.
+    """
+    g, n = a.shape[:2]
+    singular = PointFailures(g)
+    inv = stacked_call(np.linalg.inv, singular, lambda i, exc: exc, a)
+    # a huge or non-finite matrix gives inf, or inf * 0 = NaN, here; both
+    # fail the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv *= np.abs(a).max(axis=-1)[:, None, :]
+        parts = inv.view(float)
+        bound_sq = np.einsum("gij,gij->g", parts, parts)
+    cleared = bound_sq <= (CONDITION_LIMIT / (16 * n)) ** 2
+    if cleared.all() and not singular.failed.any():
+        return
+    exact = (~cleared | singular.failed) & ~fails.failed
+    cond = np.zeros(g)
+    cond[exact] = scaled_cond_stack(a[exact])
+    fails.add(cond > CONDITION_LIMIT, lambda i: make_error(i, float(cond[i])))
 
 
 def det_drift(a: np.ndarray, log_det: complex = 0.0) -> float:

@@ -22,8 +22,8 @@ from ._table import csv_text
 from .errors import MslError, StructureFileError, StructuralError
 from .media import validate_coefficients
 from .propagators import Variant
-from .solvers import (band_scans, connect_bands, escape_energy_scan,
-                      sh_wave_speeds)
+from .solvers import (_check_tol, band_scans, connect_bands,
+                      escape_energy_scan, sh_wave_speeds)
 from .structure_io import parse_structure
 from .verify import variant_comparison_report
 
@@ -80,6 +80,15 @@ def _parse_range(text: str) -> tuple[float, float]:
     if not hi > lo:
         raise _UsageError("--range needs hi > lo")
     return lo, hi
+
+
+def _parse_tol(text: str) -> float:
+    """--tol as the scans check it; argparse reports a rejected value as
+    a usage error."""
+    try:
+        return _check_tol(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_structure(path: str):
@@ -204,7 +213,7 @@ _OPTIONS = {
     "--grid": dict(required=True, help="start:stop:count"),
     "--range": dict(required=True, help="lo:hi"),
     "--variant": dict(choices=("t", "h", "e", "s"), default="h"),
-    "--tol": dict(type=float, default=1e-10),
+    "--tol": dict(type=_parse_tol, default=1e-10),
     "--out": dict(default=None, help="output path (default stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--allow-lossy": dict(action="store_true"),

@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (cond_stack, scaled_cond_stack, smallest_singular_value,
-                      solve_stack, stacked_call)
+from ._linalg import (cond_stack, condition_gate, scaled_cond_stack,
+                      smallest_singular_value, solve_stack, stacked_call)
 from .errors import (IllConditionedError, MatrixOverflowError,
                      PointFailures, ResonanceError, StructuralError,
                      VariantError)
 from .media import LayeredStructure, StackedStructure
-from .propagators import (CONDITION_LIMIT, BlockMatrix, Variant, _assemble,
-                          _per_point, _q_condition_error, antidiagonal_identity,
+from .propagators import (BlockMatrix, Variant, _assemble, _per_point,
+                          _q_condition_error, antidiagonal_identity,
                           mode_matrix, s_from_k_stack, single_stack,
                           t_single_stack)
 # solve_qep is bound here for perfbench/smoke_test.py, which checks that
@@ -208,15 +208,14 @@ def interface_stack(left: ModeStack, right: ModeStack,
                     fails: PointFailures) -> np.ndarray:
     """Stacked :func:`interface_scattering`, (G, 2N, 2N): K = Q_R^{-1} Q_L
     over the reduced bases, turned into S. Each medium has G points or
-    one point shared by all. A point fails where Q_R or Q_L is
-    ill-conditioned, Q_R or K22 is singular, or K or S is not finite."""
+    one point shared by all. A point fails where Q_R or Q_L fails the
+    condition gate (:func:`mslwave._linalg.condition_gate`), Q_R or K22
+    is singular, or K or S is not finite."""
     shape = fails.failed.shape + (2 * left.n, 2 * left.n)
     q_right, q_left = (np.broadcast_to(mode_matrix(m), shape)
                        for m in (right, left))
     for q in (q_right, q_left):
-        cond = scaled_cond_stack(q)
-        fails.add(cond > CONDITION_LIMIT,
-                  lambda i: _q_condition_error(float(cond[i])))
+        condition_gate(q, fails, _q_condition_error)
     k = solve_stack(q_right, q_left, fails, "Q(R)")
     fails.add(~np.isfinite(k).all(axis=(1, 2)), lambda i:
               MatrixOverflowError("K matrix contains non-finite entries"))

@@ -31,16 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (_LOG_DOUBLE_MAX, cond_estimate, right_solve_stack,
-                      scaled_cond, scaled_cond_stack, solve_checked,
-                      solve_stack, stacked_call)
+from ._linalg import (_LOG_DOUBLE_MAX, CONDITION_LIMIT, cond_estimate,
+                      condition_gate, right_solve_stack, scaled_cond,
+                      solve_checked, solve_stack, stacked_call)
 from .errors import (DegenerateModeError, IllConditionedError,
                      MatrixOverflowError, PointFailures, SingularMatrixError,
                      VariantError)
 from .media import MslCoefficients
 from .qep import ModeBasis, ModeStack, solve_qep
-
-CONDITION_LIMIT = 1e12
 
 
 class Variant(str, enum.Enum):
@@ -141,9 +139,9 @@ def _check_overflow(basis: ModeBasis, d: float):
             "representable range", omega_d=omega_d)
 
 
-def _q_condition_error(cond: float) -> IllConditionedError:
-    """The error of a solution basis Q whose scaled condition ``cond``
-    exceeds CONDITION_LIMIT."""
+def _q_condition_error(i: int, cond: float) -> IllConditionedError:
+    """The error of a solution basis Q (point ``i`` of a stack) whose
+    scaled condition ``cond`` exceeds CONDITION_LIMIT."""
     return IllConditionedError(
         f"Q(z) basis condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
         estimate=cond)
@@ -156,7 +154,8 @@ def q_matrix(basis: ModeBasis, z: float = 0.0,
     ``references`` gives each mode's reference point r_j, so
     F_j(z) = f0_j exp(i k_j (z - r_j)). The default (None) is the
     reduced base, r_j = z for every mode, in which the columns are just
-    (f0_j; a0_j).
+    (f0_j; a0_j). ``conditioning`` is the scaled condition, and a basis
+    that fails the condition gate (:mod:`mslwave._linalg`) is refused.
     """
     n = basis.n
     ks = basis.ks
@@ -170,10 +169,11 @@ def q_matrix(basis: ModeBasis, z: float = 0.0,
             "mode exponential overflowed in Q(z)",
             omega_d=float(np.max(np.abs(ks.imag) * np.abs(z - refs))))
     data = mode_matrix(basis.stack)[0] * phases[None, :]
-    cond = scaled_cond(data)
-    if cond > CONDITION_LIMIT:
-        raise _q_condition_error(cond)
-    return BlockMatrix(variant=Variant.Q, data=data, conditioning=cond)
+    fails = PointFailures(1)
+    condition_gate(data[None], fails, _q_condition_error)
+    fails.raise_first()
+    return BlockMatrix(variant=Variant.Q, data=data,
+                       conditioning=scaled_cond(data))
 
 
 def mode_matrix(modes: ModeStack) -> np.ndarray:
@@ -376,13 +376,13 @@ def single_stack(variant: Variant, modes: ModeStack, d, fails: PointFailures,
     ``modes`` has G points or one point shared by all.
 
     H = U^{FA} [U^{AF}]^{-1} and E = U^{AA} [U^{FF}]^{-1}; a point whose
-    inverted factor (U^{AF} or U^{FF}) has a scaled condition above
-    CONDITION_LIMIT, or whose result is not finite, is recorded in
-    ``fails`` (:func:`_single_solve`). With a ``layer_index`` those
-    errors name that layer of a fold. The exact scaled condition is
-    computed only where a bound cannot clear the point; a caller that
-    reports the conditioning takes :func:`mslwave._linalg.scaled_cond_stack`
-    of the returned factor.
+    inverted factor (U^{AF} or U^{FF}) fails the condition gate
+    (:func:`mslwave._linalg.condition_gate`), is singular, or gives a
+    result that is not finite, is recorded in ``fails``. With a
+    ``layer_index`` those errors name that layer of a fold. The gate only
+    bounds the condition where it can; a caller that reports the
+    conditioning takes :func:`mslwave._linalg.scaled_cond_stack` of the
+    returned factor.
     """
     n = modes.n
     at_z0, at_z = _reference_phases(modes, d)
@@ -391,63 +391,22 @@ def single_stack(variant: Variant, modes: ModeStack, d, fails: PointFailures,
     num = np.empty(fails.failed.shape + (2 * n, 2 * n), dtype=complex)
     den = np.empty_like(num)
     if variant is Variant.H:
+        name, why = "U^AF", "hybrid matrix pole"
         num[:, :n], num[:, n:] = modes.f0 * at_z0, modes.a0 * at_z
         den[:, :n], den[:, n:] = modes.a0 * at_z0, modes.f0 * at_z
     else:
+        name, why = "U^FF", "stiffness matrix is not computable at small thickness"
         num[:, :n], num[:, n:] = modes.a0 * at_z0, modes.a0 * at_z
         den[:, :n], den[:, n:] = modes.f0 * at_z0, modes.f0 * at_z
-    return _single_solve(variant, num, den, fails, layer_index), den
-
-
-def _single_solve(variant: Variant, num: np.ndarray, den: np.ndarray,
-                  fails: PointFailures, layer_index: int | None
-                  ) -> np.ndarray:
-    """num den^{-1} of :func:`single_stack` over (G, 2N, 2N) stacks.
-
-    A live point whose den has a scaled condition above CONDITION_LIMIT
-    fails with :class:`IllConditionedError`, whose ``estimate`` is that
-    condition; then a point whose den is singular, or whose result is
-    not finite, fails. The exact condition, an equilibration and an SVD
-    (:func:`scaled_cond_stack`), runs only at the points a cheap upper
-    bound cannot clear. With r_i the row maxima and c_j the column maxima
-    of the equilibration, B = diag(1/r) den diag(1/c) has |b_ij| <= 1 and
-    c_j <= 1, so for n = 2N
-
-        cond_2(B) <= ||B||_F ||B^{-1}||_F <= n ||den^{-1} diag(r)||_F.
-
-    A point passes when that bound is at most CONDITION_LIMIT / 16; the
-    margin covers the rounding of ``inv`` and of the SVD's sigma_min, so
-    no point is decided otherwise than by the exact condition. A point
-    whose bound is larger or NaN, or whose den ``inv`` finds singular,
-    gets the exact condition.
-    """
-    if variant is Variant.H:
-        name, why = "U^AF", "hybrid matrix pole"
-    else:
-        name, why = "U^FF", "stiffness matrix is not computable at small thickness"
-    g, n = den.shape[:2]
-    singular = PointFailures(g)
-    inv = stacked_call(np.linalg.inv, singular, lambda i, exc: exc, den)
-    # a huge or non-finite den gives inf, or inf * 0 = NaN, here; both
-    # fail the test below
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv *= np.abs(den).max(axis=-1)[:, None, :]
-        parts = inv.view(float)
-        bound_sq = np.einsum("gij,gij->g", parts, parts)
-    cleared = bound_sq <= (CONDITION_LIMIT / (16 * n)) ** 2
-    if not cleared.all() or singular.failed.any():
-        exact = (~cleared | singular.failed) & ~fails.failed
-        cond = np.zeros(g)
-        cond[exact] = scaled_cond_stack(den[exact])
-        fails.add(cond > CONDITION_LIMIT, lambda i: IllConditionedError(
-            f"{name} condition {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e} "
-            f"({why})", estimate=float(cond[i]), layer_index=layer_index))
+    condition_gate(den, fails, lambda i, cond: IllConditionedError(
+        f"{name} condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e} ({why})",
+        estimate=cond, layer_index=layer_index))
     data = right_solve_stack(den, num, fails, name)
     fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
               MatrixOverflowError(f"{variant} matrix contains non-finite entries",
                                   layer_index=layer_index))
     fails.patch(data)
-    return data
+    return data, den
 
 
 def _single(variant: Variant, m: MslCoefficients, d: float) -> BlockMatrix:

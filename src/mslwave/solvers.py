@@ -303,17 +303,30 @@ def _scan(evaluate, grid, tol: float, param_name: str) -> SecularScan:
     """:func:`scan_and_refine` through the evaluator ``evaluate``:
     ``evaluate(xs)`` returns the (values, masked) arrays of the 1-D
     ``xs``."""
-    grid = _scan_grid(grid)
+    grid = _scan_grid(grid, tol)
     values, masked = evaluate(grid)
     return _refine_samples(evaluate, grid, values, masked, tol, param_name)
 
 
-def _scan_grid(grid) -> np.ndarray:
-    """``grid`` as a float array, checked to be a scan grid."""
+def _scan_grid(grid, tol: float) -> np.ndarray:
+    """``grid`` as a float array, checked to be a scan grid, once ``tol``
+    is checked to be a refinement tolerance (:func:`_check_tol`)."""
+    _check_tol(tol)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with >= 2 points")
     return grid
+
+
+def _check_tol(tol) -> float:
+    """``tol`` as a float, checked to be finite and > 0: a refinement
+    closes a bracket once it is at most ``tol`` wide, so a NaN ``tol``
+    loses every root and a ``tol`` <= 0 runs every bracket for
+    _MAX_REFINE rounds."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def _refine_samples(evaluate, grid: np.ndarray, values: np.ndarray,
@@ -803,7 +816,7 @@ def band_scans(period: StructureDefinition, q_grid, e_range,
     qs = [float(q) for q in np.asarray(q_grid, dtype=float)]
     if not qs:
         return []
-    e_grid = _scan_grid(e_grid)
+    e_grid = _scan_grid(e_grid, tol)
 
     def bound(secular, lead=()):
         return _bound_stacked(period, lambda energies: {"energy": energies},

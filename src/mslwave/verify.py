@@ -220,14 +220,17 @@ def roundoff_bound(m: MslCoefficients, d,
     ``u`` is the empirically detected unit roundoff. The default
     prefactor comes from :func:`default_c_estimate`. Monotone
     nondecreasing in d; equals c * u at d = 0. For an array of
-    thicknesses ``d`` the bound is the array of their bounds.
+    thicknesses ``d`` the bound is the array of their bounds. A negative
+    or non-finite thickness raises ``ValueError``.
     """
+    d = np.asarray(d, dtype=float)
+    if not (np.isfinite(d) & (d >= 0.0)).all():
+        raise ValueError("thickness must be finite and >= 0")
     if basis is None:
         basis = solve_qep(m)
     if c_estimate is None:
         c_estimate = default_c_estimate(basis)
-    growth = np.exp(np.minimum(basis.max_abs_im_k() * np.asarray(d, float),
-                               709.0))
+    growth = np.exp(np.minimum(basis.max_abs_im_k() * d, 709.0))
     # u first: u * growth cannot overflow where c * growth can, and
     # scaling by the power of two u is exact, so no finite bound changes
     bound = c_estimate * (UNIT_ROUNDOFF * growth)

@@ -184,6 +184,25 @@ def test_cli_escape_rejects_a_grid_that_cannot_be_scanned(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1e-400"])
+@pytest.mark.parametrize("command,args", [
+    ("escape", ["--grid", "0.1:5:10"]),
+    ("bands", ["--grid", "0.7:0.7:1", "--range", "0.05:5"])])
+def test_cli_scans_reject_a_tol_that_is_not_finite_and_positive(
+        tmp_path, capsys, command, args, tol):
+    # a NaN --tol used to print only the header, dropping every root, and
+    # --tol <= 0 refined every bracket for thousands of rounds
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(kp_doc(1.0)), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--structure", str(path), "--out", str(out),
+                     f"--tol={tol}", *args]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --tol: tol must be finite "
+                          "and > 0, got ")
+    assert not out.exists()
+
+
 def _bad_number_docs():
     nan_thickness = kp_doc(1.0)
     nan_thickness["layers"][0]["thickness"] = float("nan")

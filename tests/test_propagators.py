@@ -15,10 +15,12 @@ from mslwave import (BlockMatrix, IllConditionedError, Layer,
                      make_sh_piezo_medium,
                      q_matrix, reblock_family, s_from_k, solve_qep,
                      structure_propagator, t_det_drift, t_partitions, t_single)
-from mslwave._linalg import right_solve_stack, scaled_cond, scaled_cond_stack
+from mslwave._linalg import (CONDITION_LIMIT, condition_gate,
+                             right_solve_stack, scaled_cond, scaled_cond_stack)
+from mslwave.compose import fold_stack, interface_stack
 from mslwave.errors import PointFailures
-from mslwave.propagators import (CONDITION_LIMIT, _reference_phases,
-                                 _single_solve, single_stack)
+from mslwave.propagators import (_q_condition_error, _reference_phases,
+                                 single_stack)
 from mslwave.qep import ModeBasis, ModeStack
 from conftest import random_evanescent_medium, random_partitionable_medium
 
@@ -252,19 +254,31 @@ def test_e_large_d_limits_random_evanescent(rng):
         assert rel_err(e.b22, e22_limit) < 1e-12
 
 
-# --- the H and E condition gate ---------------------------------------
+# --- the condition gate ----------------------------------------------
+
+def _exact_gate(a, fails, make_error):
+    """The condition gate as the exact rule states it: the scaled
+    condition of every point."""
+    cond = scaled_cond_stack(a)
+    fails.add(cond > CONDITION_LIMIT, lambda i: make_error(i, float(cond[i])))
+
+
+def _single_error(variant, layer_index):
+    """The make_error of single_stack's gate on U^AF (H) or U^FF (E)."""
+    name, why = (("U^AF", "hybrid matrix pole") if variant is Variant.H
+                 else ("U^FF", "stiffness matrix is not computable at small "
+                       "thickness"))
+    return lambda i, cond: IllConditionedError(
+        f"{name} condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e} ({why})",
+        estimate=cond, layer_index=layer_index)
+
 
 def _exact_single_solve(variant, num, den, fails, layer_index):
     """The single-layer solve as the exact rule states it: the scaled
     condition of every point's den, then the right solve."""
-    name, why = (("U^AF", "hybrid matrix pole") if variant is Variant.H
-                 else ("U^FF", "stiffness matrix is not computable at small "
-                       "thickness"))
-    cond = scaled_cond_stack(den)
-    fails.add(cond > CONDITION_LIMIT, lambda i: IllConditionedError(
-        f"{name} condition {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e} "
-        f"({why})", estimate=float(cond[i]), layer_index=layer_index))
-    data = right_solve_stack(den, num, fails, name)
+    _exact_gate(den, fails, _single_error(variant, layer_index))
+    data = right_solve_stack(den, num, fails,
+                             "U^AF" if variant is Variant.H else "U^FF")
     fails.add(~np.isfinite(data).all(axis=(1, 2)), lambda i:
               MatrixOverflowError(f"{variant} matrix contains non-finite entries",
                                   layer_index=layer_index))
@@ -309,33 +323,33 @@ GATE_KINDS = ("well", "near_limit", "near_limit", "near_limit", "singular",
 
 @hyp.settings(max_examples=150, deadline=None, derandomize=True)
 @hyp.given(seed=st.integers(0, 2 ** 32 - 1), big_n=st.integers(1, 3),
-           g=st.integers(1, 24), variant=st.sampled_from([Variant.H,
-                                                          Variant.E]),
-           layer_index=st.sampled_from([None, 0, 3]))
-def test_single_solve_decides_every_point_as_the_exact_condition(
-        seed, big_n, g, variant, layer_index):
-    # the bound-gated solve fails, names and solves every point exactly as
-    # the exact scaled condition does, on dens placed on both sides of
-    # CONDITION_LIMIT and on singular, zero and non-finite ones
+           g=st.integers(1, 24),
+           make_error=st.sampled_from([_single_error(Variant.H, None),
+                                       _single_error(Variant.E, 3),
+                                       _q_condition_error]))
+def test_condition_gate_decides_every_point_as_the_exact_condition(
+        seed, big_n, g, make_error):
+    # the bound-gated refusal fails and names every point exactly as the
+    # exact scaled condition does, on matrices placed on both sides of
+    # CONDITION_LIMIT and on singular, zero and non-finite ones, with the
+    # errors of the single-layer factors and of a basis Q (no layer index)
     rng = np.random.default_rng(seed)
     n = 2 * big_n
     den = np.stack([_gate_den(rng, GATE_KINDS[k], n)
                     for k in rng.integers(len(GATE_KINDS), size=g)])
-    num = _complex_normal(rng, (g, n, n))
     earlier = rng.random(g) < 0.1
     runs = []
-    for solve in (_single_solve, _exact_single_solve):
+    for gate in (condition_gate, _exact_gate):
         fails = PointFailures(g)
         fails.add(earlier, lambda i: MslError("failed upstream"))
-        args = num.copy(), den.copy()
+        a = den.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = solve(variant, *args, fails, layer_index)
-        assert np.array_equal(args[1], den, equal_nan=True)
-        runs.append((data, fails))
-    (data, fails), (want_data, want) = runs
+            gate(a, fails, make_error)
+        assert np.array_equal(a, den, equal_nan=True)
+        runs.append(fails)
+    fails, want = runs
     assert np.array_equal(fails.failed, want.failed)
-    assert data.tobytes() == want_data.tobytes()
     for i, exc in want.errors.items():
         got = fails.errors[i]
         assert type(got) is type(exc) and str(got) == str(exc)
@@ -394,15 +408,23 @@ def test_well_conditioned_single_layers_run_no_svd(monkeypatch, rng):
         calls.append(1)
         return svd(*args, **kwargs)
 
-    stacks = [(solve_qep(m).stack, g) for m, g in (
-        (EVANESCENT, 16), (random_evanescent_medium(rng, 2), 8))]
+    stacks = [([solve_qep(m).stack for m in media], g) for media, g in (
+        ((EVANESCENT, PROPAGATING), 16),
+        ((random_evanescent_medium(rng, 2), random_evanescent_medium(rng, 2)),
+         8))]
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for modes, g in stacks:
+    for (modes, other), g in stacks:
+        d = np.linspace(0.5, 3.0, g)
         for variant in (Variant.H, Variant.E):
             fails = PointFailures(g)
-            single_stack(variant, modes, np.linspace(0.5, 3.0, g), fails,
-                         layer_index=0)
+            single_stack(variant, modes, d, fails, layer_index=0)
             assert not fails.failed.any()
+        # the S interfaces gate their bases Q(R) and Q(L) alike
+        fails = PointFailures(g)
+        interface_stack(other, modes, fails)
+        fold_stack([("M", d)], Variant.S, {"M": modes, "O": other}.get,
+                   fails, modes.n, ends=("O", "M"))
+        assert not fails.failed.any()
     assert calls == []
     # the one-layer matrices still report the exact scaled condition
     m, d = random_evanescent_medium(rng, 2), 0.7

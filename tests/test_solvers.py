@@ -161,6 +161,22 @@ def test_lockstep_refinement_matches_single_brackets_and_brentq(cells):
         assert abs(root.value - want) <= tol
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_every_scan_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # a NaN tol would close no bracket and drop every root, and a tol <= 0
+    # would refine every bracket for _MAX_REFINE rounds; each scan entry
+    # rejects it before it evaluates anything
+    def f(x):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        scan_and_refine(f, np.linspace(0.0, 2.0, 21), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        escape_energy_scan(WELL_DEFN, np.linspace(0.5, 9.5, 40), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        band_scans(KP_DEFN, [0.3], (0.05, 5.0), e_count=40, tol=tol)
+
+
 def test_scan_masks_error_points_and_skips_brackets():
     def f(x):
         if 0.9 < x < 1.1:

@@ -132,6 +132,15 @@ def test_roundoff_bound_monotone():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("d", [-5.0, -1e-300, math.nan, math.inf,
+                               [1.0, -2.0], [0.0, math.nan]])
+def test_roundoff_bound_rejects_negative_and_non_finite_thicknesses(d):
+    # a negative thickness would give a bound below c u, breaking the
+    # monotone contract, and a NaN one a NaN bound
+    with pytest.raises(ValueError, match="thickness must be finite and >= 0"):
+        roundoff_bound(EVANESCENT, d, c_estimate=1.0)
+
+
 def test_default_c_estimate_positive(rng):
     _, basis = random_partitionable_medium(rng, 2)
     assert default_c_estimate(basis) > 0
